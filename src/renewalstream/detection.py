@@ -25,6 +25,8 @@ from .estimation import RenewalDensityEstimate
 
 NORMALIZED_PEAK = 10.0
 MIN_CONVERGED_EVENTS = 5000
+# Neighbor-matrix elements per batch of trimmed_mean_smooth: bounds memory.
+_SMOOTH_BATCH = 1 << 20
 
 
 @dataclass
@@ -83,6 +85,7 @@ class DetectionReport:
                     for s in self.subs
                 ],
                 "detected": self.detected,
+                "dropped_bins": self.dropped_bins,
             }
         )
 
@@ -120,7 +123,10 @@ def trimmed_mean_smooth(
     For each bin, up to half_window neighbors on each side (clipped at the
     sub-density edges, never the bin itself) are sorted and the top and
     bottom floor(trim_fraction * n) values removed; the baseline is the mean
-    of the remainder, falling back to the untrimmed mean if nothing is left.
+    of the remainder. Since trim_fraction < 0.5, at least one value remains.
+
+    All bins are handled at once: one row of neighbors per bin, with the
+    clipped positions sorted to the end of the row and masked out.
     """
     sub = np.asarray(sub, dtype=np.float64)
     if sub.size < 2:
@@ -130,14 +136,22 @@ def trimmed_mean_smooth(
     if not 0.0 <= trim_fraction < 0.5:
         raise InvalidConfigError("trim_fraction must be in [0, 0.5)")
 
+    n = sub.size
+    reach = min(half_window, n - 1)  # neighbors further out never exist
+    offsets = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
+    columns = np.arange(offsets.size)
     out = np.empty_like(sub)
-    for t in range(sub.size):
-        lo = max(0, t - half_window)
-        hi = min(sub.size, t + half_window + 1)
-        window = np.concatenate([sub[lo:t], sub[t + 1 : hi]])
-        trim = int(trim_fraction * window.size)
-        kept = np.sort(window)[trim : window.size - trim]
-        out[t] = kept.mean() if kept.size else window.mean()
+    rows = max(1, _SMOOTH_BATCH // offsets.size)
+    for first in range(0, n, rows):
+        idx = np.arange(first, min(n, first + rows))[:, None] + offsets
+        valid = (idx >= 0) & (idx < n)
+        window = np.sort(np.where(valid, sub[idx.clip(0, n - 1)], np.inf), axis=1)
+        size = valid.sum(axis=1)
+        trim = (trim_fraction * size).astype(np.int64)
+        kept = (columns >= trim[:, None]) & (columns < (size - trim)[:, None])
+        out[first : first + rows] = np.where(kept, window, 0.0).sum(axis=1) / (
+            size - 2 * trim
+        )
     return out
 
 

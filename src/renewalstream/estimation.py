@@ -19,13 +19,14 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import GridMismatchError, InsufficientDataError, InvalidConfigError
 from .histogram import (
     Density,
     bin_count,
     build_histogram,
+    MAX_GRID_BINS,
+    check_bin_width,
     normalize,
     optimal_bin_width,
 )
@@ -39,6 +40,15 @@ DEFAULT_CONV_SPAN_FACTOR = 1.5
 # Above this output length, direct convolution is replaced by FFT.
 _DIRECT_CONV_LIMIT = 4096
 
+# The FFT path of r(t) costs O(span log lmax) and the direct path
+# O(k * n_windows); the measured crossover is about 15 pair lags per second
+# of span.
+FFT_MIN_LAGS_PER_SECOND = 15
+# Points per FFT batch of the count series: bounds the FFT path's memory.
+_FFT_BATCH_POINTS = 1 << 16
+# Lags gathered before one bincount.
+_BINCOUNT_CHUNK = 1 << 20
+
 
 class PartialSumTable:
     """Sliding-window partial sums of orders 1..k.
@@ -46,23 +56,23 @@ class PartialSumTable:
     For n inter-arrivals and maximum order k < n there are n - k windows;
     window i contributes one realization of each order j, namely
     values[i] + ... + values[i + j - 1]. Realizations are derived on demand
-    from a prefix-sum array, so large tables stay cheap.
+    from the integer event offsets, so large tables stay cheap.
     """
 
     def __init__(self, values: np.ndarray, k: int, source_rate: float | None):
         self.k = int(k)
         self.n_windows = int(values.size - k)
         self.source_rate = source_rate
-        self._prefix = np.concatenate(
-            [[0.0], np.cumsum(values, dtype=np.float64)]
-        )
+        # seconds from the first event to each event; every partial sum is
+        # a difference of two offsets
+        self.offsets = np.concatenate([[0], np.cumsum(values, dtype=np.int64)])
 
     def order(self, j: int) -> np.ndarray:
         """All realizations of the order-j partial sum, one per window."""
         if not 1 <= j <= self.k:
             raise InvalidConfigError(f"order must be in 1..{self.k}, got {j}")
         w = self.n_windows
-        return self._prefix[j : j + w] - self._prefix[:w]
+        return (self.offsets[j : j + w] - self.offsets[:w]).astype(np.float64)
 
 
 def partial_sums(arrivals: InterArrivals, k: int) -> PartialSumTable:
@@ -119,6 +129,133 @@ class RenewalDensityEstimate:
         )
 
 
+def _bin_lags(chunks, bin_width: float, n_bins: int) -> np.ndarray:
+    """Counts of the integer lags in the chunks on n_bins bins of bin_width.
+
+    Lag L lands in bin floor(L / bin_width) if L < n_bins * bin_width. An
+    integral width divides in integers, which is exact and several times
+    faster than the float division other widths need. Bin indices are
+    gathered until they outnumber the grid, so each bincount costs O(lags)
+    rather than O(n_bins).
+    """
+    whole = float(bin_width).is_integer()
+    if whole:
+        bin_width = int(bin_width)
+    end = n_bins * bin_width
+    counts = np.zeros(n_bins, dtype=np.int64)
+    pending, size = [], 0
+    for lags in chunks:
+        lags = lags[lags < end]
+        if whole:
+            pending.append(lags // bin_width)
+        else:
+            idx = (lags / bin_width).astype(np.int64)
+            pending.append(idx[idx < n_bins])
+        size += pending[-1].size
+        if size >= max(n_bins, _BINCOUNT_CHUNK):
+            counts += np.bincount(np.concatenate(pending), minlength=n_bins)
+            pending, size = [], 0
+    if pending:
+        counts += np.bincount(np.concatenate(pending), minlength=n_bins)
+    return counts
+
+
+def _beyond_order_k(t: np.ndarray, k: int, lmax: int):
+    """Starts a and counts of the pairs (a, b), b - a > k, with lag < lmax.
+
+    Pairs from one start are contiguous in b, so a search finds them all.
+    """
+    start = np.flatnonzero(t[k + 1 :] - t[: t.size - k - 1] < lmax)
+    extra = np.searchsorted(t, t[start] + lmax) - (start + k + 1)
+    return start, extra
+
+
+def _beyond_lags(t: np.ndarray, k: int, start: np.ndarray, extra: np.ndarray):
+    """Lags of the pairs _beyond_order_k found, one vector per order above k.
+
+    The set of starts shrinks as the run of pairs from each start ends.
+    """
+    for i in range(1, int(extra.max(initial=0)) + 1):
+        keep = extra >= i
+        start, extra = start[keep], extra[keep]
+        yield t[start + k + i] - t[start]
+
+
+def _autocorrelation(t: np.ndarray, lmax: int) -> np.ndarray:
+    """Event pairs a < b with t[b] - t[a] = L, for every lag L < lmax.
+
+    Overlap-save over the per-second count series c: each block x of B
+    seconds is correlated with the M = B + lmax - 1 seconds y that start
+    with it, in M-point FFTs, so no product wraps onto a lag below lmax.
+    The count series is built one batch of blocks at a time, so memory does
+    not grow with the span. Lag 0 counts same-second pairs, sum c(c-1)/2.
+    """
+    m = 1 << (2 * lmax - 1).bit_length()
+    block = m - lmax + 1
+    per_batch = max(1, _FFT_BATCH_POINTS // m)
+    span = int(t[-1]) + 1
+    spectrum = np.zeros(m // 2 + 1, dtype=np.complex128)
+    for first in range(0, span, block * per_batch):
+        n_blocks = min(per_batch, -(-(span - first) // block))
+        length = (n_blocks - 1) * block + m
+        lo, hi = np.searchsorted(t, [first, first + length])
+        counts = np.bincount(t[lo:hi] - first, minlength=length).astype(np.float64)
+        y = np.lib.stride_tricks.sliding_window_view(counts, m)[::block]
+        x = y.copy()
+        x[:, block:] = 0.0
+        spectrum += (np.fft.rfft(x).conj() * np.fft.rfft(y)).sum(axis=0)
+    corr = np.rint(np.fft.irfft(spectrum, m)[:lmax]).astype(np.int64)
+    corr[0] = (corr[0] - t.size) // 2
+    return corr
+
+
+def _lag_histogram_fft(t: np.ndarray, k: int, lmax: int, start, extra) -> np.ndarray:
+    """Order-1..k pair lags L < lmax, counted per second, as all pairs minus
+    the pairs the direct path leaves out.
+
+    All pairs at lags below lmax come from the autocorrelation. The direct
+    path leaves out the pairs of order above k (few: the grid ends at a low
+    quantile of the order-k sums), given by _beyond_order_k as start and
+    extra, and the pairs that start in the last k events, which have no
+    full window.
+    """
+    tail = t[t.size - 1 - k :]
+    return (
+        _autocorrelation(t, lmax)
+        - _bin_lags(_beyond_lags(t, k, start, extra), 1, lmax)
+        - _bin_lags((tail[j:] - tail[:-j] for j in range(1, k + 1)), 1, lmax)
+    )
+
+
+def _pair_counts(
+    t: np.ndarray, k: int, bin_width: float, n_bins: int
+) -> tuple[np.ndarray, bool]:
+    """Order-1..k pair lags on n_bins bins of bin_width; whether FFT ran.
+
+    The direct path bins one vector of lags per order, O(k * n_windows).
+    The FFT path counts the lags per second, O(span log lmax), and then
+    rebins them; it runs once a second of span holds enough pair lags and
+    its 1 s histogram fits the grid budget. It must also subtract every pair
+    of order above k below lmax; a same-second burst much longer than k can
+    make those outnumber the direct path's own pairs, and then the direct
+    path runs.
+    """
+    w = t.size - 1 - k
+    grid_end = n_bins * bin_width
+    lmax = min(int(np.ceil(grid_end)), int(t[-1]) + 1)
+    if k * w >= FFT_MIN_LAGS_PER_SECOND * int(t[-1]) and lmax <= MAX_GRID_BINS:
+        start, extra = _beyond_order_k(t, k, lmax)
+        if extra.sum() <= k * w:
+            hist = _lag_histogram_fft(t, k, lmax, start, extra)
+            lags = np.flatnonzero(hist)
+            idx = np.floor(lags / bin_width).astype(np.int64)
+            keep = (lags < grid_end) & (idx < n_bins)
+            weights = hist[lags[keep]]
+            return np.bincount(idx[keep], weights=weights, minlength=n_bins), True
+    chunks = (t[j : j + w] - t[:w] for j in range(1, k + 1))
+    return _bin_lags(chunks, bin_width, n_bins), False
+
+
 def empirical_rd(
     table: PartialSumTable, bin_width: float, t_max: float
 ) -> RenewalDensityEstimate:
@@ -128,24 +265,20 @@ def empirical_rd(
     in-range mass): an order whose sums lie mostly beyond t_max then
     contributes only its true in-range tail instead of being inflated to
     full unit mass, which would distort the top of the grid.
+
+    Timestamps are integer seconds, so every partial sum is an integer lag;
+    the order-1..k sums are counted together (see _pair_counts).
     """
-    if bin_width <= 0 or t_max <= 0:
-        raise InvalidConfigError("bin_width and t_max must be positive")
+    if t_max <= 0:
+        raise InvalidConfigError("t_max must be positive")
     if table.n_windows < 1:
         raise InsufficientDataError("partial-sum table holds no windows")
 
     n_bins = bin_count(t_max, bin_width, origin=0.0)
-    grid_end = n_bins * bin_width
-
-    mass = np.zeros(n_bins, dtype=np.float64)
-    for j in range(1, table.k + 1):
-        sums = table.order(j)
-        idx = np.floor(sums / bin_width).astype(np.int64)
-        in_range = (sums < grid_end) & (idx >= 0) & (idx < n_bins)
-        mass += np.bincount(idx[in_range], minlength=n_bins) / table.n_windows
+    counts, _ = _pair_counts(table.offsets, table.k, bin_width, n_bins)
     return RenewalDensityEstimate(
         bin_width=bin_width,
-        values=mass / bin_width,
+        values=counts / table.n_windows / bin_width,
         k=table.k,
         kind="empirical",
         source_rate=table.source_rate,
@@ -173,15 +306,47 @@ def convolve(d1: Density, d2: Density) -> Density:
     )
 
 
-def _convolve_truncated(acc: np.ndarray, f1: np.ndarray, n_bins: int) -> np.ndarray:
+def _convolve_truncated(a: np.ndarray, b: np.ndarray, n_bins: int) -> np.ndarray:
+    """First n_bins terms of the linear convolution a * b.
+
+    Short grids use np.convolve, which keeps exact products exact (a
+    lattice of spikes stays a lattice of exact ones); longer grids use an
+    rfft product sized to avoid wrap-around, clipped at 0 against
+    round-off.
+    """
     if n_bins <= _DIRECT_CONV_LIMIT:
-        out = np.convolve(acc, f1)[:n_bins]
+        out = np.convolve(a, b)[:n_bins]
     else:
-        out = fftconvolve(acc, f1)[:n_bins]
+        size = 1 << (a.size + b.size - 2).bit_length()
+        out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
+        out = out[:n_bins]
         np.maximum(out, 0.0, out=out)
     if out.size < n_bins:
         out = np.pad(out, (0, n_bins - out.size))
     return out
+
+
+def _power_sum(f: np.ndarray, k: int) -> np.ndarray:
+    """f + f^2 + ... + f^k under convolution, truncated to len(f) terms.
+
+    Binary doubling over the bits of k, with S_m the sum of the first m
+    powers and P_m = f^m: S_2m = S_m + P_m S_m, P_2m = P_m P_m and
+    S_m+1 = S_m + P_m f. Truncation commutes with the products (no term
+    below len(f) depends on a dropped one), so this is exact algebra in
+    O(log k) products.
+    """
+    n_bins = f.size
+    total, power = f.copy(), f.copy()
+    bits = bin(k)[3:]
+    for i, bit in enumerate(bits):
+        last = i == len(bits) - 1
+        total = total + _convolve_truncated(power, total, n_bins)
+        if bit == "1" or not last:
+            power = _convolve_truncated(power, power, n_bins)
+        if bit == "1":
+            power = _convolve_truncated(power, f, n_bins)
+            total = total + power
+    return total
 
 
 def convolution_rd(
@@ -197,16 +362,9 @@ def convolution_rd(
         raise InvalidConfigError(f"max order must be >= 1, got {k}")
     if f1.n_bins == 0:
         raise InsufficientDataError("first-order density is empty")
-
-    n_bins = f1.n_bins
-    term = f1.values.copy()
-    total = term.copy()
-    for _ in range(2, k + 1):
-        term = _convolve_truncated(term, f1.values, n_bins)
-        total += term
     return RenewalDensityEstimate(
         bin_width=f1.bin_width,
-        values=total / f1.bin_width,
+        values=_power_sum(f1.values, k) / f1.bin_width,
         k=k,
         kind="convolution",
         source_rate=source_rate,
@@ -255,6 +413,25 @@ def convolution_grid_end(
     return max(1, int(np.ceil(end / bin_width))) * bin_width
 
 
+def _prepare(
+    stream: EventStream, config: EstimationConfig
+) -> tuple[InterArrivals, PartialSumTable, float]:
+    """Resolve k and the bin width; returns (arrivals, table, width)."""
+    arrivals = inter_arrivals(stream)
+    if arrivals.total <= 0:
+        raise InsufficientDataError("stream spans zero seconds")
+    k = config.k if config.k is not None else default_max_order(arrivals.n)
+    if k >= arrivals.n:
+        raise InsufficientDataError(
+            f"max order {k} needs more than {arrivals.n} inter-arrivals"
+        )
+    width = config.bin_width
+    if width is None:
+        width = optimal_bin_width(arrivals.values)
+    check_bin_width(width)
+    return arrivals, partial_sums(arrivals, k), width
+
+
 def estimate_stream(
     stream: EventStream, config: EstimationConfig | None = None
 ) -> tuple[RenewalDensityEstimate, RenewalDensityEstimate]:
@@ -264,31 +441,16 @@ def estimate_stream(
     first-order inter-arrivals unless overridden in the config.
     """
     config = config or EstimationConfig()
-    arrivals = inter_arrivals(stream)
-    if arrivals.total <= 0:
-        raise InsufficientDataError("stream spans zero seconds")
-
-    k = config.k if config.k is not None else default_max_order(arrivals.n)
-    if k >= arrivals.n:
-        raise InsufficientDataError(
-            f"max order {k} needs more than {arrivals.n} inter-arrivals"
-        )
-    width = (
-        config.bin_width
-        if config.bin_width is not None
-        else optimal_bin_width(arrivals.values)
-    )
-
-    table = partial_sums(arrivals, k)
+    arrivals, table, width = _prepare(stream, config)
     emp = empirical_rd(
         table, width, empirical_grid_end(table, width, config.grid_quantile)
     )
     f1 = first_order_pdf(
         arrivals,
         width,
-        convolution_grid_end(arrivals, k, width, config.conv_span_factor),
+        convolution_grid_end(arrivals, table.k, width, config.conv_span_factor),
     )
-    conv = convolution_rd(f1, k, source_rate=arrivals.rate)
+    conv = convolution_rd(f1, table.k, source_rate=arrivals.rate)
     return emp, conv
 
 
@@ -297,20 +459,7 @@ def empirical_only(
 ) -> RenewalDensityEstimate:
     """Empirical estimate alone (the detection path does not need both)."""
     config = config or EstimationConfig()
-    arrivals = inter_arrivals(stream)
-    if arrivals.total <= 0:
-        raise InsufficientDataError("stream spans zero seconds")
-    k = config.k if config.k is not None else default_max_order(arrivals.n)
-    if k >= arrivals.n:
-        raise InsufficientDataError(
-            f"max order {k} needs more than {arrivals.n} inter-arrivals"
-        )
-    width = (
-        config.bin_width
-        if config.bin_width is not None
-        else optimal_bin_width(arrivals.values)
-    )
-    table = partial_sums(arrivals, k)
+    _, table, width = _prepare(stream, config)
     return empirical_rd(
         table, width, empirical_grid_end(table, width, config.grid_quantile)
     )

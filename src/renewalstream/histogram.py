@@ -15,6 +15,10 @@ from .errors import EmptyDensityError, InvalidConfigError
 
 DEFAULT_GRID_SIZE = 50
 
+# Largest grid any estimate may allocate: 2**24 bins is 134 MB of float64,
+# or 194 days of lag at 1 s bins.
+MAX_GRID_BINS = 1 << 24
+
 
 @dataclass
 class Histogram:
@@ -53,9 +57,24 @@ class Density:
         return int(self.values.size)
 
 
+def check_bin_width(bin_width: float) -> None:
+    """Reject a bin width that is not a finite positive number."""
+    if not (np.isfinite(bin_width) and bin_width > 0):
+        raise InvalidConfigError(
+            f"bin width must be finite and positive, got {bin_width}"
+        )
+
+
 def bin_count(t_max: float, bin_width: float, origin: float) -> int:
+    """Bins of bin_width covering [origin, t_max), checked against the budget."""
+    check_bin_width(bin_width)
     # Snap near-integer ratios so t_max = n * width gives exactly n bins.
     ratio = (t_max - origin) / bin_width
+    if ratio > MAX_GRID_BINS:
+        raise InvalidConfigError(
+            f"a grid of {ratio:.3g} bins exceeds the budget of "
+            f"{MAX_GRID_BINS} bins; use a wider bin width or a smaller k"
+        )
     n = int(np.floor(ratio + 1e-9))
     if ratio - n > 1e-9:
         n += 1
@@ -70,8 +89,6 @@ def build_histogram(
     A sample x lands in bin floor((x - origin) / bin_width); values exactly on
     a boundary go to the right bin.
     """
-    if bin_width <= 0:
-        raise InvalidConfigError(f"bin_width must be positive, got {bin_width}")
     if t_max <= origin:
         raise InvalidConfigError(f"t_max must exceed origin, got {t_max}")
 
@@ -117,7 +134,8 @@ def optimal_bin_width(samples, candidates=None) -> float:
     """Candidate width minimizing the count-statistics cost; ties go small.
 
     Each candidate is evaluated on a grid that covers every sample, so no
-    data is dropped during the search.
+    data is dropped during the search; a candidate whose grid would reach
+    MAX_GRID_BINS is skipped (one very long gap must not end the search).
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < 2:
@@ -134,11 +152,18 @@ def optimal_bin_width(samples, candidates=None) -> float:
     best_width = None
     best_cost = np.inf
     for width in np.sort(candidates):
-        t_max = (np.floor(top / width) + 1.0) * width
+        n_bins = np.floor(top / width) + 1.0
+        if n_bins >= MAX_GRID_BINS:
+            continue
+        t_max = n_bins * width
         cost = shimazaki_cost(build_histogram(samples, width, t_max))
         if cost < best_cost:
             best_cost = cost
             best_width = float(width)
+    if best_width is None:
+        raise InvalidConfigError(
+            f"every candidate width needs at least {MAX_GRID_BINS} bins"
+        )
     return best_width
 
 

@@ -149,7 +149,8 @@ def test_criterion_4_detection_power_zero_jitter():
         "capping the local density excess at fraction/5 of the background "
         "(about 1%) for every bin width; the Pearson statistic against the "
         "N_bins-dof threshold cannot see it at a 5% injection level. "
-        "See notes/decisions.md."
+        "See the README's operating envelope for detection and "
+        "scripts/detection_power_sweep.py."
     ),
 )
 def test_criterion_4_detection_power_with_jitter():

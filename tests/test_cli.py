@@ -54,13 +54,28 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path / "nope.log")]) == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "detect"])
+@pytest.mark.parametrize("delta", ["0", "1e-9", "nan", "inf", "-1"])
+def test_bad_bin_width_fails_with_one_error_line(
+    tmp_path, poisson_log, capsys, command, delta
+):
+    out = tmp_path / "out"
+    argv = [command, str(poisson_log), "--delta", delta, "--out-dir", str(out)]
+    assert main(argv) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len([line for line in err_lines if line.startswith("error:")]) == 1
+    assert not out.exists()
+
+
 class TestDetect:
     def test_pure_poisson_exits_zero(self, tmp_path, poisson_log, capsys):
         code = main(["detect", str(poisson_log), "--k", "80"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["detected"] is False
-        assert set(report) == {"n_sub", "n_bins", "p_fa", "subs", "detected"}
+        assert set(report) == {
+            "n_sub", "n_bins", "p_fa", "subs", "detected", "dropped_bins",
+        }
 
     def test_injected_train_exits_two(self, tmp_path, capsys):
         base = gen_poisson(240.0, 30_000, seed=9)

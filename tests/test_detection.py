@@ -30,6 +30,20 @@ def make_estimate(values, width=1.0, k=10):
     )
 
 
+def trimmed_mean_smooth_loop(sub, half_window, trim_fraction):
+    """Per-bin reference for trimmed_mean_smooth: one sorted window per bin."""
+    sub = np.asarray(sub, dtype=np.float64)
+    out = np.empty_like(sub)
+    for t in range(sub.size):
+        lo = max(0, t - half_window)
+        hi = min(sub.size, t + half_window + 1)
+        window = np.concatenate([sub[lo:t], sub[t + 1 : hi]])
+        trim = int(trim_fraction * window.size)
+        kept = np.sort(window)[trim : window.size - trim]
+        out[t] = kept.mean() if kept.size else window.mean()
+    return out
+
+
 def chi2_cdf_quadrature(x, dof, n=200_001):
     """Numerical integration of the chi-square density, via t = u**2."""
     if x <= 0:
@@ -117,6 +131,27 @@ class TestTrimmedMeanSmooth:
     def test_too_short_rejected(self):
         with pytest.raises(InsufficientDataError):
             trimmed_mean_smooth(np.asarray([1.0]), 1, 0.2)
+
+    @given(
+        sub=st.lists(
+            st.floats(min_value=0, max_value=100), min_size=2, max_size=40
+        ),
+        half_window=st.integers(min_value=1, max_value=50),
+        trim=st.floats(min_value=0, max_value=0.49),
+    )
+    def test_matches_per_bin_loop(self, sub, half_window, trim):
+        out = trimmed_mean_smooth(np.asarray(sub), half_window, trim)
+        expected = trimmed_mean_smooth_loop(sub, half_window, trim)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * max(1.0, max(sub))
+
+    def test_row_batches_match_per_bin_loop(self, monkeypatch):
+        import renewalstream.detection as detection
+
+        monkeypatch.setattr(detection, "_SMOOTH_BATCH", 50)
+        sub = np.random.default_rng(3).random(101) * 10.0
+        out = trimmed_mean_smooth(sub, 12, 0.35)
+        expected = trimmed_mean_smooth_loop(sub, 12, 0.35)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * 10.0
 
     @given(
         sub=st.lists(
@@ -258,7 +293,14 @@ class TestDetect:
 
         report = detect(make_estimate(np.full(16, 2.0)), DetectionConfig(n_sub=2))
         data = json.loads(report.to_json())
-        assert set(data) == {"n_sub", "n_bins", "p_fa", "subs", "detected"}
+        assert set(data) == {
+            "n_sub",
+            "n_bins",
+            "p_fa",
+            "subs",
+            "detected",
+            "dropped_bins",
+        }
         assert set(data["subs"][0]) == {"index", "chi2", "p", "flag"}
 
     def test_invalid_configs_rejected(self):

@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from renewalstream.errors import (
     GridMismatchError,
@@ -9,7 +13,12 @@ from renewalstream.errors import (
     InvalidConfigError,
 )
 from renewalstream.estimation import (
+    _DIRECT_CONV_LIMIT,
     EstimationConfig,
+    _bin_lags,
+    _beyond_order_k,
+    _lag_histogram_fft,
+    _pair_counts,
     convolution_rd,
     convolve,
     empirical_grid_end,
@@ -18,9 +27,9 @@ from renewalstream.estimation import (
     first_order_pdf,
     partial_sums,
 )
-from renewalstream.histogram import Density
-from renewalstream.ingest import InterArrivals
-from renewalstream.synth import gen_poisson
+from renewalstream.histogram import Density, bin_count
+from renewalstream.ingest import EventStream, InterArrivals, inter_arrivals
+from renewalstream.synth import gen_cluster, gen_poisson, inject_periodic
 
 
 def brute_force_partial_sums(values, k):
@@ -33,6 +42,52 @@ def brute_force_partial_sums(values, k):
             acc += values[start + j - 1]
             table[j].append(acc)
     return table
+
+
+def empirical_rd_loop(table, bin_width, t_max):
+    """Reference r(t): one float histogram of the sums per order, summed."""
+    n_bins = bin_count(t_max, bin_width, origin=0.0)
+    grid_end = n_bins * bin_width
+    mass = np.zeros(n_bins)
+    for j in range(1, table.k + 1):
+        sums = table.order(j)
+        idx = np.floor(sums / bin_width).astype(np.int64)
+        in_range = (sums < grid_end) & (idx >= 0) & (idx < n_bins)
+        mass += np.bincount(idx[in_range], minlength=n_bins) / table.n_windows
+    return mass / bin_width
+
+
+def convolution_rd_loop(f1, k):
+    """Reference r'(t): the k - 1 successive truncated convolutions."""
+    n_bins = f1.n_bins
+    term = f1.values.copy()
+    total = term.copy()
+    for _ in range(2, k + 1):
+        if n_bins <= _DIRECT_CONV_LIMIT:
+            term = np.convolve(term, f1.values)[:n_bins]
+        else:
+            term = np.maximum(fftconvolve(term, f1.values)[:n_bins], 0.0)
+        total += term
+    return total / f1.bin_width
+
+
+def offsets(gaps):
+    return np.concatenate([[0], np.cumsum(gaps, dtype=np.int64)])
+
+
+def lags_direct(t, k, lmax):
+    """Direct-path pair counts per second below lmax."""
+    w = t.size - 1 - k
+    return _bin_lags((t[j : j + w] - t[:w] for j in range(1, k + 1)), 1, lmax)
+
+
+def lags_fft(t, k, lmax):
+    """FFT-path pair counts per second below lmax."""
+    return _lag_histogram_fft(t, k, lmax, *_beyond_order_k(t, k, lmax))
+
+
+def fft_ran(t, k, lmax):
+    return _pair_counts(t, k, 1.0, lmax)[1]
 
 
 class TestPartialSums:
@@ -124,6 +179,113 @@ class TestEmpiricalRd:
         with pytest.raises(InvalidConfigError):
             empirical_rd(table, 0.0, 5.0)
 
+    def test_lag_range_beyond_budget_is_counted_directly(self):
+        # wide bins keep the grid small, but the lags span 2e7 seconds: more
+        # than a 1 s histogram may hold, so the direct path bins them
+        gaps = [10_000_000, 3, 10_000_000, 0, 10_000_000, 7] * 40
+        table = partial_sums(InterArrivals(gaps), 3)
+        assert not fft_ran(table.offsets, 3, 20_000_002)
+        est = empirical_rd(table, 1e6, 2e7 + 1.0)
+        expected = empirical_rd_loop(table, 1e6, 2e7 + 1.0)
+        assert expected.max() > 0
+        assert np.max(np.abs(est.values - expected)) <= 1e-12 * expected.max()
+
+    # about 2 pair lags per second of span at k = 5 and 17 at k = 40
+    @pytest.mark.parametrize("k, fft", [(5, False), (40, True)])
+    @pytest.mark.parametrize("width", [1.0, 3.0, 0.7, 2.5])
+    def test_matches_per_order_loop(self, width, k, fft):
+        rng = np.random.default_rng(int(width * 10))
+        gaps = rng.geometric(0.3, 3000) - 1  # 30% of the gaps are 0
+        table = partial_sums(InterArrivals(gaps), k)
+        t_max = empirical_grid_end(table, width)
+        n_bins = bin_count(t_max, width, origin=0.0)
+        assert _pair_counts(table.offsets, k, width, n_bins)[1] == fft
+        est = empirical_rd(table, width, t_max)
+        expected = empirical_rd_loop(table, width, t_max)
+        assert np.max(np.abs(est.values - expected)) <= 1e-12 * expected.max()
+
+
+gap_lists = st.lists(
+    st.one_of(
+        st.just(0),  # runs of same-second events
+        st.integers(min_value=0, max_value=3),  # bursts
+        st.integers(min_value=0, max_value=400),
+    ),
+    min_size=2,
+    max_size=150,
+)
+
+
+class TestLagHistograms:
+    @given(gaps=gap_lists, k_frac=st.floats(0, 1), lmax_frac=st.floats(0, 1.5))
+    def test_fft_equals_direct(self, gaps, k_frac, lmax_frac):
+        t = offsets(gaps)
+        k = 1 + int(k_frac * (len(gaps) - 2))  # up to n - 1
+        lmax = 1 + int(lmax_frac * (t[-1] + 10))  # up to past the span
+        assert np.array_equal(lags_direct(t, k, lmax), lags_fft(t, k, lmax))
+
+    def test_fft_equals_direct_across_batches(self, monkeypatch):
+        import renewalstream.estimation as estimation
+
+        monkeypatch.setattr(estimation, "_FFT_BATCH_POINTS", 256)
+        monkeypatch.setattr(estimation, "_BINCOUNT_CHUNK", 64)
+        rng = np.random.default_rng(5)
+        gaps = np.where(rng.random(4000) < 0.2, 0, rng.integers(1, 5, 4000))
+        t = offsets(gaps)
+        for k, lmax in [(1, 7), (30, 60), (200, 300), (3999, 12000)]:
+            assert np.array_equal(lags_direct(t, k, lmax), lags_fft(t, k, lmax))
+
+    def test_brute_force_pairs(self):
+        t = offsets([0, 0, 2, 1, 0, 5, 1])
+        k, lmax = 3, 6
+        expected = np.zeros(lmax, dtype=np.int64)
+        w = t.size - 1 - k
+        for a in range(w):
+            for b in range(a + 1, a + k + 1):
+                if t[b] - t[a] < lmax:
+                    expected[t[b] - t[a]] += 1
+        assert np.array_equal(lags_direct(t, k, lmax), expected)
+        assert np.array_equal(lags_fft(t, k, lmax), expected)
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [("sparse-detect", "direct"), ("large", "fft"), ("bursty-iso", "fft")],
+    )
+    def test_path_selection_on_benchmark_regimes(self, name, expected):
+        # the benchmark workloads at 1e5 events: the pair lags per second,
+        # k * n_windows / span, do not depend on the event count
+        if name == "sparse-detect":
+            stream, k = gen_poisson(240.0, 100_000, seed=1), 150
+            span = stream.times[-1] - stream.times[0]
+            for i in range(3):
+                stream, _ = inject_periodic(
+                    stream, 12_000.0, count=int(span // 12_000), seed=10 + i
+                )
+        elif name == "large":
+            stream, k = gen_poisson(2.0, 100_000, seed=1), 1000
+        else:
+            stream, k = gen_cluster(10.0, 3.0, 1.0, 100_000, seed=1), 1000
+        table = partial_sums(inter_arrivals(stream), k)
+        lmax = int(np.ceil(empirical_grid_end(table, 1.0)))
+        assert fft_ran(table.offsets, k, lmax) == (expected == "fft")
+
+    def test_lag_histogram_beyond_budget_takes_direct_path(self, monkeypatch):
+        import renewalstream.estimation as estimation
+
+        t = offsets(np.ones(3500, dtype=np.int64))
+        assert fft_ran(t, 20, 20)
+        monkeypatch.setattr(estimation, "MAX_GRID_BINS", 10)
+        assert fft_ran(t, 20, 10)
+        assert not fft_ran(t, 20, 20)
+
+    def test_long_same_second_burst_takes_direct_path(self):
+        # 3000 events in one second, k = 20: the pairs of order above k that
+        # the FFT path would subtract outnumber the direct path's pairs
+        burst = np.concatenate([np.zeros(3000, dtype=np.int64), np.ones(500)])
+        assert not fft_ran(offsets(burst), 20, 5)
+        steady = np.ones(3500, dtype=np.int64)
+        assert fft_ran(offsets(steady), 20, 5)
+
 
 class TestFirstOrderPdf:
     def test_masses(self):
@@ -195,6 +357,17 @@ class TestConvolutionRd:
         expected[[4, 8, 12]] = 1.0
         assert est.values.tolist() == expected.tolist()
 
+    @pytest.mark.parametrize("n_bins", [300, _DIRECT_CONV_LIMIT + 900])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 1000])
+    def test_doubling_matches_successive_convolutions(self, n_bins, k):
+        lattice = np.arange(n_bins)
+        values = np.exp(-lattice / (0.1 * n_bins))
+        values[0] = 0.05 * values.sum()  # same-second gaps: mass at lag 0
+        f1 = Density(2.0, values / values.sum())
+        est = convolution_rd(f1, k)
+        expected = convolution_rd_loop(f1, k)
+        assert np.max(np.abs(est.values - expected)) <= 1e-12 * expected.max()
+
     def test_single_order_is_f1_over_width(self):
         f1 = Density(0.5, [0.2, 0.3, 0.5])
         est = convolution_rd(f1, 1)
@@ -261,7 +434,27 @@ class TestEstimateStream:
         assert end <= np.quantile(top, 0.011)
         assert end >= 1.0
 
+    def test_one_very_long_gap_still_estimated(self):
+        # a 2e7 s gap: width 1 s would need more than MAX_GRID_BINS bins to
+        # cover it, so the width search skips that candidate
+        times = gen_poisson(10_000.0, 300, seed=3).times.astype(np.int64)
+        times[150:] += 20_000_000
+        emp, conv = estimate_stream(EventStream(times))
+        assert emp.bin_width > 1.0
+        assert conv.t_max > 20_000_000
+        assert np.all(np.isfinite(emp.values)) and emp.values.max() > 0
+        assert np.all(np.isfinite(conv.values)) and conv.values.max() > 0
+
     def test_too_large_order_rejected(self):
         stream = gen_poisson(2.0, 30, seed=1)
         with pytest.raises(InsufficientDataError):
             estimate_stream(stream, EstimationConfig(k=29))
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    code = "import sys, renewalstream.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -116,6 +116,13 @@ class TestOptimalBinWidth:
         with pytest.raises(InvalidConfigError):
             optimal_bin_width([1, 2], [])
 
+    def test_candidates_beyond_grid_budget_skipped(self):
+        # covering a 2e7 s sample at width 1 needs more than 2**24 bins
+        samples = [1.0, 2.0, 3.0, 2e7]
+        assert optimal_bin_width(samples, [1.0, 1e6]) == 1e6
+        with pytest.raises(InvalidConfigError, match="every candidate"):
+            optimal_bin_width(samples, [1.0])
+
     def test_needs_two_samples(self):
         with pytest.raises(InvalidConfigError):
             optimal_bin_width([1.0])
