@@ -22,10 +22,10 @@ from renewalstream import (
     DetectionConfig,
     EstimationConfig,
     detect,
+    estimate_stream,
     gen_poisson,
     inject_periodic,
 )
-from renewalstream.estimation import empirical_only
 
 MEAN_GAP = 240.0
 MAX_ORDER = 150
@@ -48,8 +48,8 @@ def build_stream(seed: int, m: int, jitter: float):
 
 
 def detected(stream) -> bool:
-    estimate = empirical_only(
-        stream, EstimationConfig(k=MAX_ORDER, bin_width=1.0)
+    estimate, _ = estimate_stream(
+        stream, EstimationConfig(k=MAX_ORDER, bin_width=1.0), convolution=False
     )
     n_sub = max(1, estimate.n_bins // SUB_BINS)
     report = detect(estimate, DetectionConfig(n_sub=n_sub, p_fa=P_FA))

@@ -35,7 +35,6 @@ from .estimation import (
     PartialSumTable,
     RenewalDensityEstimate,
     convolution_rd,
-    convolve,
     empirical_rd,
     estimate_stream,
     first_order_pdf,

@@ -22,6 +22,7 @@ from .errors import (
     InvalidConfigError,
 )
 from .estimation import RenewalDensityEstimate
+from .histogram import bins_to_csv
 
 ZONE_LOW = "low"
 ZONE_MIDDLE = "middle"
@@ -56,10 +57,7 @@ class DifferenceCurves:
     E: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["t,e,E"]
-        for i in range(self.e.size):
-            lines.append(f"{i * self.bin_width},{self.e[i]},{self.E[i]}")
-        return "\n".join(lines) + "\n"
+        return bins_to_csv("t,e,E", self.bin_width, self.e, self.E)
 
 
 @dataclass

@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .characterization import (
     DEFAULT_THRESHOLDS,
     ZoneThresholds,
@@ -21,13 +23,15 @@ from .characterization import (
     difference,
 )
 from .detection import MIN_CONVERGED_EVENTS, DetectionConfig, detect
-from .errors import StreamAnalysisError
-from .estimation import (
-    EstimationConfig,
-    empirical_only,
-    estimate_stream,
+from .errors import InsufficientDataError, StreamAnalysisError
+from .estimation import EstimationConfig, estimate_stream
+from .ingest import (
+    EventStream,
+    downsample,
+    inter_arrivals,
+    parse_stream,
+    serialize_stream,
 )
-from .ingest import downsample, inter_arrivals, parse_stream, serialize_stream
 from .synth import GeneratorSpec, labels_to_csv
 
 ENV_SEED = "RS_SEED"
@@ -117,6 +121,12 @@ def _out_dir(args, file_cfg) -> Path:
 
 
 def _cmd_analyze(args) -> int:
+    """analyze and characterize: one estimate, two views of it.
+
+    analyze writes both estimates, e.csv and summary.json, and prints the
+    summary; characterize prints the score and writes e.csv only when
+    --out-dir is given.
+    """
     file_cfg = _load_config_file(args.config)
     stream = _read_stream(args.input)
     emp, conv = estimate_stream(stream, _estimation_config(args, file_cfg))
@@ -124,35 +134,49 @@ def _cmd_analyze(args) -> int:
     result = characterize(
         curves, emp.k, stream.rate, _thresholds(args, file_cfg)
     )
-
-    out = _out_dir(args, file_cfg)
-    (out / "rd_empirical.csv").write_text(emp.to_csv(), encoding="utf-8")
-    (out / "rd_convolution.csv").write_text(conv.to_csv(), encoding="utf-8")
-    (out / "e.csv").write_text(curves.to_csv(), encoding="utf-8")
-    summary = {
-        "rate": stream.rate,
-        "m": stream.m,
-        "k": emp.k,
-        "delta": emp.bin_width,
-        "e_max_norm": result.e_max_norm,
-        "position_tweets": result.position_tweets,
-        "zone": result.zone,
-    }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
-    print(json.dumps(summary))
+    if args.command == "characterize":
+        files = {} if args.out_dir is None else {"e.csv": curves.to_csv()}
+        text = result.to_json()
+    else:
+        summary = {
+            "rate": stream.rate,
+            "m": stream.m,
+            "k": emp.k,
+            "delta": emp.bin_width,
+            "e_max_norm": result.e_max_norm,
+            "position_tweets": result.position_tweets,
+            "zone": result.zone,
+        }
+        files = {
+            "rd_empirical.csv": emp.to_csv(),
+            "rd_convolution.csv": conv.to_csv(),
+            "e.csv": curves.to_csv(),
+            "summary.json": json.dumps(summary, indent=2) + "\n",
+        }
+        text = json.dumps(summary)
+    if files:
+        out = _out_dir(args, file_cfg)
+        for name, content in files.items():
+            (out / name).write_text(content, encoding="utf-8")
+    print(text)
     return EXIT_OK
 
 
 def _cmd_detect(args) -> int:
     file_cfg = _load_config_file(args.config)
     stream = _read_stream(args.input)
-    estimate = empirical_only(stream, _estimation_config(args, file_cfg))
+    estimate, _ = estimate_stream(
+        stream, _estimation_config(args, file_cfg), convolution=False
+    )
     config = _detection_config(args, file_cfg)
     # short grids (tiny inputs) still get a report: cap the sub-density
     # count so every sub-density keeps at least 2 bins
-    max_sub = max(1, estimate.n_bins // 2)
+    max_sub = estimate.n_bins // 2
+    if max_sub < 1:
+        raise InsufficientDataError(
+            f"detection needs a grid of at least 2 bins, got {estimate.n_bins}; "
+            "use a smaller bin width"
+        )
     if config.n_sub > max_sub:
         _warn(f"reducing n_sub from {config.n_sub} to {max_sub} for a short grid")
         config.n_sub = max_sub
@@ -163,21 +187,6 @@ def _cmd_detect(args) -> int:
         out = _out_dir(args, file_cfg)
         (out / "detection.json").write_text(text + "\n", encoding="utf-8")
     return EXIT_DETECTED if report.detected else EXIT_OK
-
-
-def _cmd_characterize(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    stream = _read_stream(args.input)
-    emp, conv = estimate_stream(stream, _estimation_config(args, file_cfg))
-    curves = difference(emp, conv)
-    result = characterize(
-        curves, emp.k, stream.rate, _thresholds(args, file_cfg)
-    )
-    if args.out_dir is not None:
-        out = _out_dir(args, file_cfg)
-        (out / "e.csv").write_text(curves.to_csv(), encoding="utf-8")
-    print(result.to_json())
-    return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
@@ -214,15 +223,13 @@ def _cmd_downsample(args) -> int:
         return _fail("downsample needs --downsample min:max")
     lo, hi = (int(part) for part in str(spec).split(":"))
     stream = _read_stream(args.input)
-    arrivals = inter_arrivals(stream)
-    grouped = downsample(arrivals, lo, hi, _resolve_seed(args, file_cfg))
-    times = [int(stream.times[0])]
-    for gap in grouped.values:
-        times.append(times[-1] + int(gap))
-    Path(args.out).write_text(
-        "".join(f"{t}\n" for t in times), encoding="utf-8"
+    grouped = downsample(
+        inter_arrivals(stream), lo, hi, _resolve_seed(args, file_cfg)
     )
-    print(f"wrote {len(times)} events to {args.out}")
+    gaps = np.concatenate([[0], grouped.values])
+    reduced = EventStream(stream.times[0] + np.cumsum(gaps))
+    Path(args.out).write_text(serialize_stream(reduced), encoding="utf-8")
+    print(f"wrote {reduced.m} events to {args.out}")
     return EXIT_OK
 
 
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", help="zone thresholds as lo,hi")
     _add_estimation_flags(p)
     _add_common(p)
-    p.set_defaults(handler=_cmd_characterize)
+    p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("simulate", help="write a synthetic stream and labels")
     p.add_argument("--kind", choices=["poisson", "cluster", "periodic"],

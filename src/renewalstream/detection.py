@@ -10,7 +10,7 @@ exceeds 1 - P_FA.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammainc
@@ -188,15 +188,7 @@ def detect(
     values = np.asarray(estimate.values, dtype=np.float64)
     if config.exclude_origin_bin and values.size > 1:
         values = values[1:]
-    normalized = normalize_rd(
-        RenewalDensityEstimate(
-            bin_width=estimate.bin_width,
-            values=values,
-            k=estimate.k,
-            kind=estimate.kind,
-            source_rate=estimate.source_rate,
-        )
-    )
+    normalized = normalize_rd(replace(estimate, values=values))
     blocks, dropped = split_subdensities(normalized, config.n_sub)
     n_bins = blocks[0].size
 

@@ -15,15 +15,15 @@ difference is bin-aligned.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InsufficientDataError, InvalidConfigError
+from .errors import InsufficientDataError, InvalidConfigError
 from .histogram import (
     Density,
     bin_count,
+    bins_to_csv,
     build_histogram,
     MAX_GRID_BINS,
     check_bin_width,
@@ -112,21 +112,7 @@ class RenewalDensityEstimate:
         return self.n_bins * self.bin_width
 
     def to_csv(self) -> str:
-        lines = ["t,value"]
-        for i, v in enumerate(self.values):
-            lines.append(f"{i * self.bin_width},{v}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "delta": self.bin_width,
-                "k": self.k,
-                "rate": self.source_rate,
-                "values": self.values.tolist(),
-            }
-        )
+        return bins_to_csv("t,value", self.bin_width, self.values)
 
 
 def _bin_lags(chunks, bin_width: float, n_bins: int) -> np.ndarray:
@@ -136,9 +122,9 @@ def _bin_lags(chunks, bin_width: float, n_bins: int) -> np.ndarray:
     integral width divides in integers, which is exact and several times
     faster than the float division other widths need. Bin indices are
     gathered until they outnumber the grid, so each bincount costs O(lags)
-    rather than O(n_bins).
+    rather than O(n_bins). The integer path needs the grid end to fit int64.
     """
-    whole = float(bin_width).is_integer()
+    whole = float(bin_width).is_integer() and n_bins * bin_width < 2**63
     if whole:
         bin_width = int(bin_width)
     end = n_bins * bin_width
@@ -293,19 +279,6 @@ def first_order_pdf(
     return normalize(hist)
 
 
-def convolve(d1: Density, d2: Density) -> Density:
-    """Full discrete linear convolution of two mass sequences."""
-    if d1.bin_width != d2.bin_width:
-        raise GridMismatchError(
-            f"bin widths differ: {d1.bin_width} vs {d2.bin_width}"
-        )
-    return Density(
-        bin_width=d1.bin_width,
-        values=np.convolve(d1.values, d2.values),
-        origin=d1.origin,
-    )
-
-
 def _convolve_truncated(a: np.ndarray, b: np.ndarray, n_bins: int) -> np.ndarray:
     """First n_bins terms of the linear convolution a * b.
 
@@ -377,8 +350,6 @@ class EstimationConfig:
 
     k: int | None = None
     bin_width: float | None = None
-    grid_quantile: float = DEFAULT_GRID_QUANTILE
-    conv_span_factor: float = DEFAULT_CONV_SPAN_FACTOR
 
 
 def default_max_order(n_arrivals: int) -> int:
@@ -413,10 +384,19 @@ def convolution_grid_end(
     return max(1, int(np.ceil(end / bin_width))) * bin_width
 
 
-def _prepare(
-    stream: EventStream, config: EstimationConfig
-) -> tuple[InterArrivals, PartialSumTable, float]:
-    """Resolve k and the bin width; returns (arrivals, table, width)."""
+def estimate_stream(
+    stream: EventStream,
+    config: EstimationConfig | None = None,
+    convolution: bool = True,
+) -> tuple[RenewalDensityEstimate, RenewalDensityEstimate | None]:
+    """Run the estimators on a stream with one shared bin width.
+
+    Returns (empirical, convolution). With convolution=False the second is
+    None and the first-order density and its self-convolutions are skipped:
+    detection reads only the empirical estimate. The shared width comes from
+    the first-order inter-arrivals unless overridden in the config.
+    """
+    config = config or EstimationConfig()
     arrivals = inter_arrivals(stream)
     if arrivals.total <= 0:
         raise InsufficientDataError("stream spans zero seconds")
@@ -429,37 +409,9 @@ def _prepare(
     if width is None:
         width = optimal_bin_width(arrivals.values)
     check_bin_width(width)
-    return arrivals, partial_sums(arrivals, k), width
-
-
-def estimate_stream(
-    stream: EventStream, config: EstimationConfig | None = None
-) -> tuple[RenewalDensityEstimate, RenewalDensityEstimate]:
-    """Run both estimators on a stream with one shared bin width.
-
-    Returns (empirical, convolution). The shared width comes from the
-    first-order inter-arrivals unless overridden in the config.
-    """
-    config = config or EstimationConfig()
-    arrivals, table, width = _prepare(stream, config)
-    emp = empirical_rd(
-        table, width, empirical_grid_end(table, width, config.grid_quantile)
-    )
-    f1 = first_order_pdf(
-        arrivals,
-        width,
-        convolution_grid_end(arrivals, table.k, width, config.conv_span_factor),
-    )
-    conv = convolution_rd(f1, table.k, source_rate=arrivals.rate)
-    return emp, conv
-
-
-def empirical_only(
-    stream: EventStream, config: EstimationConfig | None = None
-) -> RenewalDensityEstimate:
-    """Empirical estimate alone (the detection path does not need both)."""
-    config = config or EstimationConfig()
-    _, table, width = _prepare(stream, config)
-    return empirical_rd(
-        table, width, empirical_grid_end(table, width, config.grid_quantile)
-    )
+    table = partial_sums(arrivals, k)
+    emp = empirical_rd(table, width, empirical_grid_end(table, width))
+    if not convolution:
+        return emp, None
+    f1 = first_order_pdf(arrivals, width, convolution_grid_end(arrivals, k, width))
+    return emp, convolution_rd(f1, k, source_rate=arrivals.rate)

@@ -22,11 +22,10 @@ MAX_GRID_BINS = 1 << 24
 
 @dataclass
 class Histogram:
-    """Counts over uniform half-open bins [origin + i*w, origin + (i+1)*w)."""
+    """Counts over uniform half-open bins [i*w, (i+1)*w)."""
 
     bin_width: float
     counts: np.ndarray
-    origin: float = 0.0
     overflow: int = 0
 
     def __post_init__(self):
@@ -47,7 +46,6 @@ class Density:
 
     bin_width: float
     values: np.ndarray
-    origin: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -81,26 +79,23 @@ def bin_count(t_max: float, bin_width: float, origin: float) -> int:
     return max(n, 1)
 
 
-def build_histogram(
-    samples, bin_width: float, t_max: float, origin: float = 0.0
-) -> Histogram:
-    """Bin samples on [origin, t_max); out-of-range samples count as overflow.
+def build_histogram(samples, bin_width: float, t_max: float) -> Histogram:
+    """Bin samples on [0, t_max); out-of-range samples count as overflow.
 
-    A sample x lands in bin floor((x - origin) / bin_width); values exactly on
-    a boundary go to the right bin.
+    A sample x lands in bin floor(x / bin_width); values exactly on a
+    boundary go to the right bin.
     """
-    if t_max <= origin:
-        raise InvalidConfigError(f"t_max must exceed origin, got {t_max}")
+    if t_max <= 0:
+        raise InvalidConfigError(f"t_max must be positive, got {t_max}")
 
     samples = np.asarray(samples, dtype=np.float64)
-    n_bins = bin_count(t_max, bin_width, origin)
-    idx = np.floor((samples - origin) / bin_width).astype(np.int64)
-    in_range = (samples >= origin) & (samples < t_max) & (idx >= 0) & (idx < n_bins)
+    n_bins = bin_count(t_max, bin_width, 0.0)
+    idx = np.floor(samples / bin_width).astype(np.int64)
+    in_range = (samples >= 0) & (samples < t_max) & (idx >= 0) & (idx < n_bins)
     counts = np.bincount(idx[in_range], minlength=n_bins)
     return Histogram(
         bin_width=bin_width,
         counts=counts,
-        origin=origin,
         overflow=int(samples.size - in_range.sum()),
     )
 
@@ -172,24 +167,17 @@ def normalize(hist: Histogram) -> Density:
     total = hist.total
     if total < 1:
         raise EmptyDensityError("histogram holds no in-range samples")
-    return Density(
-        bin_width=hist.bin_width,
-        values=hist.counts / float(total),
-        origin=hist.origin,
-    )
+    return Density(bin_width=hist.bin_width, values=hist.counts / float(total))
 
 
-def bins_to_csv(bin_width: float, values, origin: float = 0.0) -> str:
-    """Serialize per-bin values as ``bin_start,value`` rows."""
-    lines = ["bin_start,value"]
-    for i, v in enumerate(np.asarray(values)):
-        lines.append(f"{origin + i * bin_width},{v}")
-    return "\n".join(lines) + "\n"
+def bins_to_csv(header: str, bin_width: float, *columns) -> str:
+    """Serialize per-bin columns as CSV rows: the bin start, then one value
+    from each column.
 
-
-def histogram_to_csv(hist: Histogram) -> str:
-    return bins_to_csv(hist.bin_width, hist.counts, hist.origin)
-
-
-def density_to_csv(density: Density) -> str:
-    return bins_to_csv(density.bin_width, density.values, density.origin)
+    Values go through ``tolist``: Python floats print exactly as NumPy
+    float64 scalars do, and faster.
+    """
+    row = ",".join(["{}"] * (len(columns) + 1))
+    columns = [np.asarray(c).tolist() for c in columns]
+    lines = (row.format(i * bin_width, *v) for i, v in enumerate(zip(*columns)))
+    return "\n".join([header, *lines]) + "\n"

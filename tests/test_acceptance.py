@@ -22,7 +22,6 @@ from renewalstream.detection import (
 from renewalstream.estimation import (
     EstimationConfig,
     convolution_rd,
-    empirical_only,
     estimate_stream,
     partial_sums,
 )
@@ -75,7 +74,9 @@ def detection_stream(seed: int, jitter: float = 0.0):
 
 
 def run_detection(stream) -> bool:
-    est = empirical_only(stream, EstimationConfig(k=DET_K, bin_width=1.0))
+    est, _ = estimate_stream(
+        stream, EstimationConfig(k=DET_K, bin_width=1.0), convolution=False
+    )
     n_sub = max(1, est.n_bins // DET_SUB_BINS)
     rep = detect(est, DetectionConfig(n_sub=n_sub, p_fa=P_FA))
     return rep.detected

@@ -141,6 +141,9 @@ class TestClassifyZone:
 
 def test_curves_csv_layout():
     curves = difference(
-        make_estimate([2.0, 0.0], width=0.5), make_estimate([1.0, 1.0], width=0.5)
+        make_estimate([2.0, 0.0, 0.3], width=0.5),
+        make_estimate([1.0, 1.0, 0.1], width=0.5),
     )
-    assert curves.to_csv() == "t,e,E\n0.0,1.0,1.0\n0.5,-1.0,0.0\n"
+    assert curves.to_csv() == (
+        "t,e,E\n0.0,1.0,1.0\n0.5,-1.0,0.0\n1.0,0.19999999999999998,0.19999999999999998\n"
+    )

@@ -67,6 +67,27 @@ def test_bad_bin_width_fails_with_one_error_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "characterize"])
+@pytest.mark.parametrize("delta", ["1e18", "9.3e18", "1e300"])
+def test_one_bin_grid_still_scored(tmp_path, poisson_log, capsys, command, delta):
+    # an integral width of 2**63 or more cannot divide the lags as int64
+    out = tmp_path / "out"
+    argv = [command, str(poisson_log), "--delta", delta, "--out-dir", str(out)]
+    assert main(argv) == 0
+    # one bin holds every pair lag below k: both estimates read k / width
+    assert json.loads(capsys.readouterr().out)["e_max_norm"] == 0.0
+    assert (out / "e.csv").read_text().count("\n") == 2
+
+
+@pytest.mark.parametrize("delta", ["3000", "1e300"])
+def test_detect_on_one_bin_grid_fails_with_one_error_line(
+    poisson_log, capsys, delta
+):
+    assert main(["detect", str(poisson_log), "--delta", delta]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error:")
+
+
 class TestDetect:
     def test_pure_poisson_exits_zero(self, tmp_path, poisson_log, capsys):
         code = main(["detect", str(poisson_log), "--k", "80"])

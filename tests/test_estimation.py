@@ -7,11 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
-from renewalstream.errors import (
-    GridMismatchError,
-    InsufficientDataError,
-    InvalidConfigError,
-)
+from renewalstream import estimation
+from renewalstream.errors import InsufficientDataError, InvalidConfigError
 from renewalstream.estimation import (
     _DIRECT_CONV_LIMIT,
     EstimationConfig,
@@ -19,8 +16,8 @@ from renewalstream.estimation import (
     _beyond_order_k,
     _lag_histogram_fft,
     _pair_counts,
+    RenewalDensityEstimate,
     convolution_rd,
-    convolve,
     empirical_grid_end,
     empirical_rd,
     estimate_stream,
@@ -190,6 +187,12 @@ class TestEmpiricalRd:
         assert expected.max() > 0
         assert np.max(np.abs(est.values - expected)) <= 1e-12 * expected.max()
 
+    @pytest.mark.parametrize("width", [2.0**63, 1e300])
+    def test_integral_width_beyond_int64_bins_in_floats(self, width):
+        table = partial_sums(InterArrivals([3, 0, 5, 2, 4, 1]), 2)
+        est = empirical_rd(table, width, width)
+        assert est.values.tolist() == [2.0 / width]
+
     # about 2 pair lags per second of span at k = 5 and 17 at k = 40
     @pytest.mark.parametrize("k, fft", [(5, False), (40, True)])
     @pytest.mark.parametrize("width", [1.0, 3.0, 0.7, 2.5])
@@ -308,46 +311,6 @@ class TestFirstOrderPdf:
         assert density.values.sum() == pytest.approx(1.0)
 
 
-def delta_density(bin_index, n_bins, width=1.0):
-    values = np.zeros(n_bins)
-    values[bin_index] = 1.0
-    return Density(bin_width=width, values=values)
-
-
-class TestConvolve:
-    def test_delta_convolution_shifts(self):
-        out = convolve(delta_density(2, 4), delta_density(3, 5))
-        assert out.values.tolist() == [0, 0, 0, 0, 0, 1.0, 0, 0]
-
-    def test_bernoulli_self_convolution(self):
-        half = Density(1.0, [0.5, 0.5])
-        out = convolve(half, half)
-        assert out.values == pytest.approx([0.25, 0.5, 0.25])
-
-    def test_delta_at_zero_is_identity(self):
-        d = Density(1.0, [0.1, 0.6, 0.3])
-        out = convolve(d, delta_density(0, 1))
-        assert out.values == pytest.approx(d.values)
-
-    def test_mismatched_widths_rejected(self):
-        with pytest.raises(GridMismatchError):
-            convolve(Density(1.0, [1.0]), Density(2.0, [1.0]))
-
-    def test_mass_multiplies(self):
-        rng = np.random.default_rng(0)
-        a = Density(1.0, rng.random(7))
-        b = Density(1.0, rng.random(4))
-        out = convolve(a, b)
-        assert out.values.sum() == pytest.approx(a.values.sum() * b.values.sum())
-
-    def test_associative_on_grid(self):
-        rng = np.random.default_rng(1)
-        f = Density(1.0, rng.random(30))
-        left = convolve(convolve(f, f), f)
-        right = convolve(f, convolve(f, f))
-        assert np.max(np.abs(left.values - right.values)) < 1e-12
-
-
 class TestConvolutionRd:
     def test_delta_spikes_at_multiples(self):
         f1 = Density(1.0, np.zeros(16))
@@ -449,6 +412,25 @@ class TestEstimateStream:
         stream = gen_poisson(2.0, 30, seed=1)
         with pytest.raises(InsufficientDataError):
             estimate_stream(stream, EstimationConfig(k=29))
+
+    def test_convolution_skipped_when_not_asked(self, monkeypatch):
+        stream = gen_poisson(2.0, 5_000, seed=8)
+        config = EstimationConfig(k=40)
+        emp, _ = estimate_stream(stream, config)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("convolution estimate built")
+
+        monkeypatch.setattr(estimation, "first_order_pdf", unused)
+        monkeypatch.setattr(estimation, "convolution_rd", unused)
+        alone, conv = estimate_stream(stream, config, convolution=False)
+        assert conv is None
+        assert alone.values.tolist() == emp.values.tolist()
+
+
+def test_estimate_csv_layout():
+    est = RenewalDensityEstimate(0.5, [0.25, 2.0, 1e-20], k=3, kind="empirical")
+    assert est.to_csv() == "t,value\n0.0,0.25\n0.5,2.0\n1.0,1e-20\n"
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

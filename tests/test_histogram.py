@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from renewalstream.errors import EmptyDensityError, InvalidConfigError
 from renewalstream.histogram import (
     Histogram,
+    bins_to_csv,
     build_histogram,
     default_width_grid,
-    density_to_csv,
     normalize,
     optimal_bin_width,
     shimazaki_cost,
@@ -168,4 +168,5 @@ class TestNormalize:
 
 def test_density_csv_layout():
     density = normalize(Histogram(2.0, [1, 3]))
-    assert density_to_csv(density) == "bin_start,value\n0.0,0.25\n2.0,0.75\n"
+    text = bins_to_csv("bin_start,value", density.bin_width, density.values)
+    assert text == "bin_start,value\n0.0,0.25\n2.0,0.75\n"
