@@ -23,7 +23,11 @@ from .characterization import (
     difference,
 )
 from .detection import MIN_CONVERGED_EVENTS, DetectionConfig, detect
-from .errors import InsufficientDataError, StreamAnalysisError
+from .errors import (
+    InsufficientDataError,
+    InvalidConfigError,
+    StreamAnalysisError,
+)
 from .estimation import EstimationConfig, estimate_stream
 from .ingest import (
     EventStream,
@@ -50,8 +54,15 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise StreamAnalysisError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _read_stream(path: str):
-    stream = parse_stream(Path(path).read_text(encoding="utf-8"))
+    stream = parse_stream(_read_text(path))
     if stream.m < MIN_CONVERGED_EVENTS:
         _warn(
             f"only {stream.m} events; estimates may not have converged "
@@ -63,7 +74,7 @@ def _read_stream(path: str):
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return json.loads(_read_text(path))
 
 
 def _merged(args: argparse.Namespace, file_cfg: dict, key: str, default=None):
@@ -107,10 +118,11 @@ def _thresholds(args, file_cfg) -> ZoneThresholds:
     raw = _merged(args, file_cfg, "thresholds")
     if raw is None:
         return DEFAULT_THRESHOLDS
-    if isinstance(raw, str):
-        lo, hi = (float(part) for part in raw.split(","))
-    else:
-        lo, hi = (float(raw[0]), float(raw[1]))
+    parts = raw.split(",") if isinstance(raw, str) else raw
+    try:
+        lo, hi = (float(part) for part in parts)
+    except (TypeError, ValueError):
+        raise InvalidConfigError(f"--thresholds must be lo,hi, got {raw!r}") from None
     return ZoneThresholds(low=lo, high=hi)
 
 
@@ -128,12 +140,11 @@ def _cmd_analyze(args) -> int:
     --out-dir is given.
     """
     file_cfg = _load_config_file(args.config)
+    thresholds = _thresholds(args, file_cfg)
     stream = _read_stream(args.input)
     emp, conv = estimate_stream(stream, _estimation_config(args, file_cfg))
     curves = difference(emp, conv)
-    result = characterize(
-        curves, emp.k, stream.rate, _thresholds(args, file_cfg)
-    )
+    result = characterize(curves, emp.k, stream.rate, thresholds)
     if args.command == "characterize":
         files = {} if args.out_dir is None else {"e.csv": curves.to_csv()}
         text = result.to_json()
@@ -221,7 +232,11 @@ def _cmd_downsample(args) -> int:
     spec = _merged(args, file_cfg, "downsample")
     if spec is None:
         return _fail("downsample needs --downsample min:max")
-    lo, hi = (int(part) for part in str(spec).split(":"))
+    try:
+        lo, hi = (int(part) for part in str(spec).split(":"))
+    except ValueError:
+        message = f"--downsample must be min:max, got {spec!r}"
+        raise InvalidConfigError(message) from None
     stream = _read_stream(args.input)
     grouped = downsample(
         inter_arrivals(stream), lo, hi, _resolve_seed(args, file_cfg)

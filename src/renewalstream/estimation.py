@@ -46,8 +46,11 @@ _DIRECT_CONV_LIMIT = 4096
 FFT_MIN_LAGS_PER_SECOND = 15
 # Points per FFT batch of the count series: bounds the FFT path's memory.
 _FFT_BATCH_POINTS = 1 << 16
-# Lags gathered before one bincount.
-_BINCOUNT_CHUNK = 1 << 20
+# Bin indices gathered before one bincount (more when the grid has more
+# bins). Filling one 2 MB buffer, rather than listing the indices and
+# concatenating them, keeps the direct path's peak memory and its
+# allocations small.
+_BINCOUNT_CHUNK = 1 << 18
 
 
 class PartialSumTable:
@@ -121,29 +124,33 @@ def _bin_lags(chunks, bin_width: float, n_bins: int) -> np.ndarray:
     Lag L lands in bin floor(L / bin_width) if L < n_bins * bin_width. An
     integral width divides in integers, which is exact and several times
     faster than the float division other widths need. Bin indices are
-    gathered until they outnumber the grid, so each bincount costs O(lags)
-    rather than O(n_bins). The integer path needs the grid end to fit int64.
+    gathered in one buffer that holds at least the grid's bin count, so each
+    bincount costs O(lags) rather than O(n_bins). The integer path needs the
+    grid end to fit int64.
     """
     whole = float(bin_width).is_integer() and n_bins * bin_width < 2**63
     if whole:
         bin_width = int(bin_width)
     end = n_bins * bin_width
     counts = np.zeros(n_bins, dtype=np.int64)
-    pending, size = [], 0
+    pending = np.empty(max(n_bins, _BINCOUNT_CHUNK), dtype=np.int64)
+    size = 0
     for lags in chunks:
         lags = lags[lags < end]
         if whole:
-            pending.append(lags // bin_width)
+            idx = lags // bin_width
         else:
             idx = (lags / bin_width).astype(np.int64)
-            pending.append(idx[idx < n_bins])
-        size += pending[-1].size
-        if size >= max(n_bins, _BINCOUNT_CHUNK):
-            counts += np.bincount(np.concatenate(pending), minlength=n_bins)
-            pending, size = [], 0
-    if pending:
-        counts += np.bincount(np.concatenate(pending), minlength=n_bins)
-    return counts
+            idx = idx[idx < n_bins]
+        if size + idx.size > pending.size:
+            counts += np.bincount(pending[:size], minlength=n_bins)
+            size = 0
+        if idx.size > pending.size:
+            counts += np.bincount(idx, minlength=n_bins)
+            continue
+        pending[size : size + idx.size] = idx
+        size += idx.size
+    return counts + np.bincount(pending[:size], minlength=n_bins)
 
 
 def _beyond_order_k(t: np.ndarray, k: int, lmax: int):

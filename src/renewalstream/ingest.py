@@ -23,6 +23,16 @@ from .errors import (
 _EPOCH_RE = re.compile(r"[+-]?\d+")
 _ISO_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}")
 
+# Bytes per batch of the vectorized parse: bounds its temporaries.
+_PARSE_BATCH_BYTES = 1 << 20
+# 18 digits stay below 2**63, so a plain epoch line cannot overflow int64.
+_EPOCH_MAX_DIGITS = 18
+_ZERO, _NEWLINE = ord("0"), ord("\n")
+# Bytes minus the template: a digit's value in a digit column, 0 for the
+# right separator, and otherwise past the column's maximum.
+_ISO_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
+_ISO_MAX = np.where(_ISO_TEMPLATE == _ZERO, 9, 0).astype(np.uint8)
+
 
 @dataclass
 class EventStream:
@@ -88,7 +98,10 @@ class InterArrivals:
 
 def _parse_line(line: str, line_no: int) -> int:
     if _EPOCH_RE.fullmatch(line):
-        return int(line)
+        value = int(line)
+        if not -(2**63) <= value < 2**63:
+            raise ParseError(line_no, line, "epoch seconds outside the int64 range")
+        return value
     if _ISO_RE.fullmatch(line):
         try:
             dt = datetime.strptime(line, "%Y-%m-%dT%H:%M:%S")
@@ -100,6 +113,106 @@ def _parse_line(line: str, line_no: int) -> int:
     )
 
 
+def _parse_lines(text: str) -> np.ndarray:
+    """Times of a log, one line at a time; the only parser that reports errors."""
+    times = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        times.append(_parse_line(line, line_no))
+    return np.asarray(times, dtype=np.int64)
+
+
+def _digits_value(digits: np.ndarray) -> np.ndarray:
+    """Integers whose decimal digits are the columns of a digit matrix."""
+    value = np.zeros(digits.shape[0], dtype=np.int64)
+    for column in digits.T:
+        value *= 10
+        value += column
+    return value
+
+
+def _rows_by_width(chunk: np.ndarray, ends: np.ndarray):
+    """For each line width in a batch: the lines of that width, and their
+    bytes as a row matrix (a view when every line has one width)."""
+    width = np.diff(ends, prepend=-1) - 1
+    if width.min() == width.max():
+        yield slice(None), chunk[: ends[-1] + 1].reshape(ends.size, -1)[:, :-1]
+        return
+    for w in np.flatnonzero(np.bincount(width)):
+        lines = np.flatnonzero(width == w)
+        yield lines, np.lib.stride_tricks.sliding_window_view(chunk, w)[ends[lines] - w]
+
+
+def _epoch_seconds(rows: np.ndarray):
+    """Epoch seconds of rows of 1-18 ASCII digits, or None."""
+    digits = rows - _ZERO  # bytes below "0" wrap past 9
+    if not 1 <= rows.shape[1] <= _EPOCH_MAX_DIGITS or (digits > 9).any():
+        return None
+    return _digits_value(digits)
+
+
+def _iso_seconds(rows: np.ndarray):
+    """Epoch seconds of rows of YYYY-MM-DDTHH:MM:SS, or None.
+
+    A field out of its calendar range (year 0, month 13, Feb 30, hour 24,
+    second 60) rejects the rows, as strptime rejects the line.
+    """
+    digits = rows - _ISO_TEMPLATE
+    if (digits > _ISO_MAX).any():
+        return None
+    year, month, day, hour, minute, second = (
+        _digits_value(digits[:, a:b])
+        for a, b in ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
+    )
+    first = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    days = first.astype("datetime64[D]").astype(np.int64)
+    month_days = (first + 1).astype("datetime64[D]").astype(np.int64) - days
+    valid = (
+        (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+        & (day <= month_days) & (hour <= 23) & (minute <= 59) & (second <= 59)
+    )
+    if not valid.all():
+        return None
+    return (days + day - 1) * 86400 + hour * 3600 + minute * 60 + second
+
+
+def _vectorized_times(text: str) -> np.ndarray | None:
+    """Times of a log whose every line is plain epoch digits or an ISO
+    datetime, parsed from its bytes; None for any other log.
+
+    It takes only ASCII text whose lines end in a line feed and hold no
+    space, sign, comment or blank line; anything else is left to the
+    per-line parser, which accepts the same lines with the same times. Bytes
+    are parsed in batches of whole lines, so temporaries stay O(batch).
+    """
+    if not text or not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    times = np.empty(data.count(b"\n"), dtype=np.int64)
+    start = done = 0
+    while start < buf.size:
+        chunk = buf[start : start + _PARSE_BATCH_BYTES]
+        ends = np.flatnonzero(chunk == _NEWLINE)
+        if not ends.size:
+            return None  # a line longer than a batch
+        for lines, rows in _rows_by_width(chunk, ends):
+            if rows.shape[1] == _ISO_TEMPLATE.size:
+                part = _iso_seconds(rows)
+            else:
+                part = _epoch_seconds(rows)
+            if part is None:
+                return None
+            times[done : done + ends.size][lines] = part
+        start += ends[-1] + 1
+        done += ends.size
+    return times
+
+
 def parse_stream(text: str) -> EventStream:
     """Parse a one-timestamp-per-line log into a sorted :class:`EventStream`.
 
@@ -107,20 +220,17 @@ def parse_stream(text: str) -> EventStream:
     one-second resolution (interpreted as UTC). Lines starting with ``#`` and
     blank lines are skipped. Input order does not matter; duplicates are kept.
     """
-    times = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        times.append(_parse_line(line, line_no))
-    if not times:
+    times = _vectorized_times(text)
+    if times is None:
+        times = _parse_lines(text)
+    if not times.size:
         raise EmptyStreamError("no events in input")
-    return EventStream(np.sort(np.asarray(times, dtype=np.int64), kind="stable"))
+    return EventStream(np.sort(times, kind="stable"))
 
 
 def serialize_stream(stream: EventStream) -> str:
     """Render a stream in the log format; inverse of :func:`parse_stream`."""
-    return "".join(f"{t}\n" for t in stream.times)
+    return "".join([f"{t}\n" for t in stream.times.tolist()])
 
 
 def inter_arrivals(stream: EventStream) -> InterArrivals:
@@ -150,12 +260,12 @@ def downsample(
     if arrivals.n == 0:
         raise InsufficientDataError("cannot downsample an empty sequence")
 
-    rng = np.random.default_rng(seed)
+    # one batched draw gives the same sizes as one draw per group; ceil(n /
+    # group_min) sizes always cover n, and a size clipped to n still ends
+    # the last group
     values = arrivals.values
-    out = []
-    i = 0
-    while i < values.size:
-        g = int(rng.integers(group_min, group_max + 1))
-        out.append(int(values[i : i + g].sum()))
-        i += g
-    return InterArrivals(np.asarray(out, dtype=np.int64))
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(group_min, group_max + 1, size=-(-values.size // group_min))
+    ends = np.cumsum(np.minimum(sizes, values.size))
+    starts = np.concatenate([[0], ends[ends < values.size]])
+    return InterArrivals(np.add.reduceat(values, starts))

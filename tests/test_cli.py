@@ -88,6 +88,50 @@ def test_detect_on_one_bin_grid_fails_with_one_error_line(
     assert len(err_lines) == 1 and err_lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["analyze", "characterize", "detect"])
+def test_epoch_beyond_int64_fails_with_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "big.log"
+    path.write_text("5\n99999999999999999999\n", encoding="utf-8")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 2: epoch seconds outside the int64 range: "
+        "'99999999999999999999'"
+    ]
+
+
+def test_directory_input_fails_with_one_error_line(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read {tmp_path}: Is a directory"
+    ]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["analyze", "--thresholds", "1"], "--thresholds must be lo,hi, got '1'"),
+        (["characterize", "--thresholds", "1,2,3"],
+         "--thresholds must be lo,hi, got '1,2,3'"),
+        (["analyze", "--thresholds", "a,b"], "--thresholds must be lo,hi, got 'a,b'"),
+        (["analyze", "--config", "{CFG}"], "--thresholds must be lo,hi, got [1]"),
+        (["downsample", "--downsample", "3", "--out", "{OUT}"],
+         "--downsample must be min:max, got '3'"),
+        (["downsample", "--downsample", "2:x", "--out", "{OUT}"],
+         "--downsample must be min:max, got '2:x'"),
+    ],
+)
+def test_malformed_range_flag_fails_with_one_error_line(
+    tmp_path, poisson_log, capsys, args, message
+):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"thresholds": [1]}), encoding="utf-8")
+    out = tmp_path / "down.log"
+    args = [a.format(CFG=config, OUT=out) for a in args]
+    assert main([args[0], str(poisson_log), *args[1:]]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 class TestDetect:
     def test_pure_poisson_exits_zero(self, tmp_path, poisson_log, capsys):
         code = main(["detect", str(poisson_log), "--k", "80"])

@@ -289,6 +289,22 @@ class TestLagHistograms:
         steady = np.ones(3500, dtype=np.int64)
         assert fft_ran(offsets(steady), 20, 5)
 
+    @pytest.mark.parametrize("width", [1.0, 3.0, 0.7, 2.5])
+    @pytest.mark.parametrize("n_bins", [5, 500])
+    def test_bin_lags_counts_do_not_depend_on_chunk_size(
+        self, monkeypatch, width, n_bins
+    ):
+        rng = np.random.default_rng(3)
+        t = offsets(np.where(rng.random(3000) < 0.2, 0, rng.integers(1, 40, 3000)))
+        k = 60
+        w = t.size - 1 - k
+        lags = [t[j : j + w] - t[:w] for j in range(1, k + 1)]
+        idx = np.floor(np.concatenate(lags) / width).astype(np.int64)
+        expected = np.bincount(idx[idx < n_bins], minlength=n_bins)
+        for chunk in (1, 7, 4096, 1 << 18):
+            monkeypatch.setattr(estimation, "_BINCOUNT_CHUNK", chunk)
+            assert np.array_equal(_bin_lags(iter(lags), width, n_bins), expected)
+
 
 class TestFirstOrderPdf:
     def test_masses(self):
