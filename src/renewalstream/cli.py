@@ -12,22 +12,17 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .characterization import (
-    DEFAULT_THRESHOLDS,
-    ZoneThresholds,
-    characterize,
-    difference,
+    DEFAULT_THRESHOLDS, ZoneThresholds, characterize, difference
 )
 from .detection import MIN_CONVERGED_EVENTS, DetectionConfig, detect
-from .errors import (
-    InsufficientDataError,
-    InvalidConfigError,
-    StreamAnalysisError,
-)
+from .errors import InsufficientDataError, InvalidConfigError, StreamAnalysisError
 from .estimation import EstimationConfig, estimate_stream
 from .ingest import (
     EventStream,
@@ -71,82 +66,136 @@ def _read_stream(path: str):
     return stream
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    return json.loads(_read_text(path))
-
-
-def _merged(args: argparse.Namespace, file_cfg: dict, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
-
-
-def _resolve_seed(args: argparse.Namespace, file_cfg: dict) -> int:
-    seed = _merged(args, file_cfg, "seed")
-    if seed is None:
-        env = os.environ.get(ENV_SEED)
-        seed = int(env) if env else 0
-    return int(seed)
-
-
-def _estimation_config(args, file_cfg) -> EstimationConfig:
-    return EstimationConfig(
-        k=_merged(args, file_cfg, "k"),
-        bin_width=_merged(args, file_cfg, "delta"),
-    )
-
-
-def _detection_config(args, file_cfg) -> DetectionConfig:
-    return DetectionConfig(
-        n_sub=int(_merged(args, file_cfg, "n_sub", 8)),
-        half_window=_merged(args, file_cfg, "half_window"),
-        trim_fraction=float(_merged(args, file_cfg, "trim", 0.35)),
-        p_fa=float(_merged(args, file_cfg, "p_fa", 0.05)),
-        exclude_origin_bin=bool(
-            _merged(args, file_cfg, "exclude_origin_bin", False)
-        ),
-    )
-
-
-def _thresholds(args, file_cfg) -> ZoneThresholds:
-    raw = _merged(args, file_cfg, "thresholds")
-    if raw is None:
-        return DEFAULT_THRESHOLDS
-    parts = raw.split(",") if isinstance(raw, str) else raw
+def _write(files: dict[Path, str], directory: Path | None = None) -> None:
+    """Make directory, if given, then write each file, in order."""
+    path = directory
     try:
-        lo, hi = (float(part) for part in parts)
-    except (TypeError, ValueError):
-        raise InvalidConfigError(f"--thresholds must be lo,hi, got {raw!r}") from None
-    return ZoneThresholds(low=lo, high=hi)
+        if directory is not None:
+            directory.mkdir(parents=True, exist_ok=True)
+        for path, text in files.items():
+            path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise StreamAnalysisError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _out_dir(args, file_cfg) -> Path:
-    out = Path(_merged(args, file_cfg, "out_dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# How a setting reads flag text or a JSON value: one kind per type.
+class Kind(NamedTuple):
+    form: str
+    types: tuple  # JSON value types accepted; a bool only by SWITCH
+    parse: Callable
 
 
-def _cmd_analyze(args) -> int:
+def _parse(kind: Kind, value):
+    if isinstance(value, bool) != (kind is SWITCH) or not isinstance(value, kind.types):
+        raise TypeError
+    return kind.parse(value)
+
+
+def _pair(sep: str, item: Kind, make: Callable) -> Callable:
+    def parse(value):
+        parts = value.split(sep) if isinstance(value, str) else value
+        if len(parts) != 2:
+            raise ValueError
+        return make(*(_parse(item, part) for part in parts))
+
+    return parse
+
+
+INTEGER = Kind("an integer", (str, int), int)
+NUMBER = Kind("a number", (str, int, float), float)
+SWITCH = Kind("true or false", (bool,), bool)
+TEXT = Kind("a path", (str,), str)
+THRESHOLDS = Kind("lo,hi", (str, list), _pair(",", NUMBER, ZoneThresholds))
+GROUP_SIZES = Kind("min:max", (str, list), _pair(":", INTEGER, lambda lo, hi: (lo, hi)))
+
+# key: (kind, commands, help). Each key foo_bar is the flag --foo-bar and
+# the config key foo_bar; a setting given neither way is left out, so the
+# library's default applies.
+SETTINGS = {
+    "k": (INTEGER, "analyze characterize detect", "maximum partial-sum order"),
+    "delta": (NUMBER, "analyze characterize detect", "bin width override, seconds"),
+    "out_dir": (TEXT, "analyze characterize detect", "output directory"),
+    "thresholds": (THRESHOLDS, "analyze characterize", "zone thresholds as lo,hi"),
+    "n_sub": (INTEGER, "detect", "sub-density count"),
+    "half_window": (INTEGER, "detect", "smoothing half-window T"),
+    "trim": (NUMBER, "detect", "trimmed-mean fraction per side"),
+    "p_fa": (NUMBER, "detect", "false-alarm level"),
+    "exclude_origin_bin": (SWITCH, "detect", "drop bin 0 before normalization"),
+    "m": (INTEGER, "simulate", "event count (default 1000)"),
+    "mean_gap": (NUMBER, "simulate", "poisson and periodic mean gap"),
+    "trigger_gap": (NUMBER, "simulate", "cluster gap between bursts"),
+    "burst_mean": (NUMBER, "simulate", "cluster mean burst size"),
+    "intra_gap": (NUMBER, "simulate", "cluster gap within a burst"),
+    "period": (NUMBER, "simulate", "periodic train period"),
+    "jitter": (NUMBER, "simulate", "periodic train jitter"),
+    "fraction": (NUMBER, "simulate", "periodic train size per event"),
+    "seed": (INTEGER, "simulate downsample", f"seed (else ${ENV_SEED}, else 0)"),
+    "downsample": (GROUP_SIZES, "downsample", "group-size range as min:max"),
+}
+# Settings whose library field has another name.
+FIELDS = {"delta": "bin_width", "trim": "trim_fraction"}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _convert(key: str, value):
+    kind = SETTINGS[key][0]
+    try:
+        return _parse(kind, value)
+    except (TypeError, ValueError, OverflowError):
+        message = f"{_flag(key)} must be {kind.form}, got {value!r}"
+        raise InvalidConfigError(message) from None
+
+
+def _config_file(path: str, keys: list[str]) -> dict:
+    try:
+        config = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise InvalidConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise InvalidConfigError(f"{path} must hold one JSON object")
+    for key in config:
+        if key not in keys:
+            raise InvalidConfigError(f"{path}: unknown key {key!r}")
+    return config
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The command's settings by field name: flag, else file, else CLI default."""
+    keys = [key for key, row in SETTINGS.items() if args.command in row[1].split()]
+    # the library has no default for these two
+    given = {"m": 1000, "seed": os.environ.get(ENV_SEED) or 0}
+    if args.config is not None:
+        given.update(_config_file(args.config, keys))
+    given.update((key, value) for key, value in vars(args).items() if key in keys)
+    return {
+        FIELDS.get(key, key): _convert(key, given[key]) for key in keys if key in given
+    }
+
+
+def _build(cls, settings: dict, **extra):
+    """cls from the settings that name its fields; the rest keep cls's defaults."""
+    names = {field.name for field in fields(cls)}
+    given = {key: value for key, value in settings.items() if key in names}
+    return cls(**given, **extra)
+
+
+def _cmd_analyze(args, settings: dict) -> int:
     """analyze and characterize: one estimate, two views of it.
 
     analyze writes both estimates, e.csv and summary.json, and prints the
     summary; characterize prints the score and writes e.csv only when
-    --out-dir is given.
+    out_dir is given.
     """
-    file_cfg = _load_config_file(args.config)
-    thresholds = _thresholds(args, file_cfg)
     stream = _read_stream(args.input)
-    emp, conv = estimate_stream(stream, _estimation_config(args, file_cfg))
+    emp, conv = estimate_stream(stream, _build(EstimationConfig, settings))
     curves = difference(emp, conv)
+    thresholds = settings.get("thresholds", DEFAULT_THRESHOLDS)
     result = characterize(curves, emp.k, stream.rate, thresholds)
     if args.command == "characterize":
-        files = {} if args.out_dir is None else {"e.csv": curves.to_csv()}
+        files = {"e.csv": curves.to_csv()} if "out_dir" in settings else {}
         text = result.to_json()
     else:
         summary = {
@@ -166,20 +215,18 @@ def _cmd_analyze(args) -> int:
         }
         text = json.dumps(summary)
     if files:
-        out = _out_dir(args, file_cfg)
-        for name, content in files.items():
-            (out / name).write_text(content, encoding="utf-8")
+        out = Path(settings.get("out_dir", "."))
+        _write({out / name: content for name, content in files.items()}, out)
     print(text)
     return EXIT_OK
 
 
-def _cmd_detect(args) -> int:
-    file_cfg = _load_config_file(args.config)
+def _cmd_detect(args, settings: dict) -> int:
     stream = _read_stream(args.input)
     estimate, _ = estimate_stream(
-        stream, _estimation_config(args, file_cfg), convolution=False
+        stream, _build(EstimationConfig, settings), convolution=False
     )
-    config = _detection_config(args, file_cfg)
+    config = _build(DetectionConfig, settings)
     # short grids (tiny inputs) still get a report: cap the sub-density
     # count so every sub-density keeps at least 2 bins
     max_sub = estimate.n_bins // 2
@@ -194,156 +241,80 @@ def _cmd_detect(args) -> int:
     report = detect(estimate, config)
     text = report.to_json()
     print(text)
-    if args.out_dir is not None:
-        out = _out_dir(args, file_cfg)
-        (out / "detection.json").write_text(text + "\n", encoding="utf-8")
+    if "out_dir" in settings:
+        out = Path(settings["out_dir"])
+        _write({out / "detection.json": text + "\n"}, out)
     return EXIT_DETECTED if report.detected else EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    spec = GeneratorSpec(
-        kind=args.kind,
-        m=int(_merged(args, file_cfg, "m", 1000)),
-        seed=_resolve_seed(args, file_cfg),
-        mean_gap=float(_merged(args, file_cfg, "mean_gap", 1.0)),
-        trigger_gap=float(_merged(args, file_cfg, "trigger_gap", 10.0)),
-        burst_mean=float(_merged(args, file_cfg, "burst_mean", 3.0)),
-        intra_gap=float(_merged(args, file_cfg, "intra_gap", 1.0)),
-        period=float(_merged(args, file_cfg, "period", 100.0)),
-        jitter=float(_merged(args, file_cfg, "jitter", 0.0)),
-        fraction=float(_merged(args, file_cfg, "fraction", 0.05)),
-    )
-    stream, labels = spec.generate()
+def _cmd_simulate(args, settings: dict) -> int:
+    stream, labels = _build(GeneratorSpec, settings, kind=args.kind).generate()
     out_path = Path(args.out)
-    out_path.write_text(serialize_stream(stream), encoding="utf-8")
-    labels_path = (
-        Path(args.labels)
-        if args.labels
-        else out_path.parent / (out_path.name + ".labels.csv")
-    )
-    labels_path.write_text(labels_to_csv(stream, labels), encoding="utf-8")
+    labels_path = Path(args.labels or f"{out_path}.labels.csv")
+    text = serialize_stream(stream)
+    _write({out_path: text, labels_path: labels_to_csv(stream, labels)})
     print(f"wrote {stream.m} events to {out_path} (labels: {labels_path})")
     return EXIT_OK
 
 
-def _cmd_downsample(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    spec = _merged(args, file_cfg, "downsample")
-    if spec is None:
+def _cmd_downsample(args, settings: dict) -> int:
+    if "downsample" not in settings:
         return _fail("downsample needs --downsample min:max")
-    try:
-        lo, hi = (int(part) for part in str(spec).split(":"))
-    except ValueError:
-        message = f"--downsample must be min:max, got {spec!r}"
-        raise InvalidConfigError(message) from None
     stream = _read_stream(args.input)
-    grouped = downsample(
-        inter_arrivals(stream), lo, hi, _resolve_seed(args, file_cfg)
-    )
+    lo, hi = settings["downsample"]
+    grouped = downsample(inter_arrivals(stream), lo, hi, settings["seed"])
     gaps = np.concatenate([[0], grouped.values])
     reduced = EventStream(stream.times[0] + np.cumsum(gaps))
-    Path(args.out).write_text(serialize_stream(reduced), encoding="utf-8")
+    _write({Path(args.out): serialize_stream(reduced)})
     print(f"wrote {reduced.m} events to {args.out}")
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags take precedence")
-    parser.add_argument("--seed", type=int, help=f"seed (falls back to ${ENV_SEED})")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in the CLI's one error line and exit 1, not argparse's 2."""
 
-
-def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, help="maximum partial-sum order")
-    parser.add_argument("--delta", type=float, help="bin width override, seconds")
-
-
-def _add_detection_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-sub", dest="n_sub", type=int, help="sub-density count")
-    parser.add_argument(
-        "--half-window", dest="half_window", type=int, help="smoothing half-window T"
-    )
-    parser.add_argument("--trim", type=float, help="trimmed-mean fraction per side")
-    parser.add_argument("--p-fa", dest="p_fa", type=float, help="false-alarm level")
-    parser.add_argument(
-        "--exclude-origin-bin",
-        dest="exclude_origin_bin",
-        action="store_const",
-        const=True,
-        help="drop bin 0 before normalization",
-    )
+    def error(self, message: str):
+        raise InvalidConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="renewalstream",
         description="Renewal-density analysis of timestamped event streams",
     )
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    p = sub.add_parser("analyze", help="both estimates, difference curves, summary")
-    p.add_argument("input", help="event log, one timestamp per line")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--thresholds", help="zone thresholds as lo,hi")
-    _add_estimation_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("detect", help="periodic-event detection report")
-    p.add_argument("input")
-    p.add_argument("--out-dir", dest="out_dir", help="also write detection.json here")
-    _add_estimation_flags(p)
-    _add_detection_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_detect)
-
-    p = sub.add_parser("characterize", help="correlation score and zone only")
-    p.add_argument("input")
-    p.add_argument("--out-dir", dest="out_dir", help="also write e.csv here")
-    p.add_argument("--thresholds", help="zone thresholds as lo,hi")
-    _add_estimation_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("simulate", help="write a synthetic stream and labels")
-    p.add_argument("--kind", choices=["poisson", "cluster", "periodic"],
-                   default="poisson")
-    p.add_argument("--out", required=True, help="stream output path")
-    p.add_argument("--labels", help="label sidecar path (default <out>.labels.csv)")
-    p.add_argument("--m", type=int, help="event count")
-    p.add_argument("--mean-gap", dest="mean_gap", type=float)
-    p.add_argument("--trigger-gap", dest="trigger_gap", type=float)
-    p.add_argument("--burst-mean", dest="burst_mean", type=float)
-    p.add_argument("--intra-gap", dest="intra_gap", type=float)
-    p.add_argument("--period", type=float)
-    p.add_argument("--jitter", type=float)
-    p.add_argument("--fraction", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("downsample", help="group inter-arrivals and rewrite stream")
-    p.add_argument("input")
-    p.add_argument("--out", required=True)
-    p.add_argument("--downsample", help="group-size range as min:max")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_downsample)
-
+    switch = {"action": "store_const", "const": True}
+    for command, handler, about in (
+        ("analyze", _cmd_analyze, "both estimates, difference curves, summary"),
+        ("detect", _cmd_detect, "periodic-event detection report"),
+        ("characterize", _cmd_analyze, "correlation score and zone only"),
+        ("simulate", _cmd_simulate, "write a synthetic stream and labels"),
+        ("downsample", _cmd_downsample, "group inter-arrivals and rewrite stream"),
+    ):
+        p = sub.add_parser(command, help=about)
+        p.set_defaults(handler=handler)
+        if command == "simulate":
+            p.add_argument("--kind", choices=["poisson", "cluster", "periodic"],
+                           default="poisson")
+            p.add_argument("--labels", help="label sidecar (default <out>.labels.csv)")
+        else:
+            p.add_argument("input", help="event log, one timestamp per line")
+        if command in ("simulate", "downsample"):
+            p.add_argument("--out", required=True, help="stream output path")
+        for key, (kind, commands, help) in SETTINGS.items():
+            if command in commands.split():
+                p.add_argument(_flag(key), default=argparse.SUPPRESS, help=help,
+                               **(switch if kind is SWITCH else {}))
+        p.add_argument("--config", help="JSON config file; flags take precedence")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "handler", None):
-        parser.print_help()
-        return EXIT_ERROR
     try:
-        return args.handler(args)
-    except StreamAnalysisError as exc:
-        return _fail(str(exc))
-    except FileNotFoundError as exc:
-        return _fail(f"cannot read {exc.filename}")
-    except (ValueError, json.JSONDecodeError) as exc:
+        args = build_parser().parse_args(argv)
+        return args.handler(args, _settings(args))
+    except (StreamAnalysisError, ValueError) as exc:
         return _fail(str(exc))
 
 

@@ -18,6 +18,7 @@ from .errors import (
     InsufficientDataError,
     InvalidConfigError,
     ParseError,
+    StreamAnalysisError,
 )
 
 _EPOCH_RE = re.compile(r"[+-]?\d+")
@@ -53,7 +54,7 @@ class EventStream:
     @property
     def span(self) -> int:
         """Seconds between the first and the last event."""
-        return int(self.times[-1] - self.times[0]) if self.m >= 2 else 0
+        return int(self.times[-1]) - int(self.times[0]) if self.m >= 2 else 0
 
     @property
     def rate(self) -> float:
@@ -238,6 +239,11 @@ def inter_arrivals(stream: EventStream) -> InterArrivals:
     if stream.m < 2:
         raise InsufficientDataError(
             f"need at least 2 events for inter-arrivals, got {stream.m}"
+        )
+    # times are sorted, so no gap wraps in int64 once the whole span fits
+    if stream.span > np.iinfo(np.int64).max:
+        raise StreamAnalysisError(
+            f"stream spans {stream.span} seconds, beyond the int64 range"
         )
     return InterArrivals(np.diff(stream.times))
 

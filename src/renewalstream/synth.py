@@ -26,8 +26,10 @@ LABEL_INJECTED = "injected"
 
 def gen_poisson(mean_gap: float, m: int, seed: int) -> EventStream:
     """Memoryless stream: iid exponential gaps with the given mean."""
-    if mean_gap <= 0:
-        raise InvalidConfigError(f"mean_gap must be positive, got {mean_gap}")
+    if not 0 < mean_gap < np.inf:
+        raise InvalidConfigError(
+            f"mean_gap must be finite and positive, got {mean_gap}"
+        )
     if m < 2:
         raise InvalidConfigError(f"need m >= 2 events, got {m}")
     rng = np.random.default_rng(seed)
@@ -59,9 +61,11 @@ def gen_cluster(
     ((burst_mean - 1) * intra_gap + idle_run * trigger_gap)
     / (burst_mean - 1 + idle_run).
     """
-    if trigger_gap <= 0 or intra_gap < 0:
-        raise InvalidConfigError("trigger_gap must be positive, intra_gap >= 0")
-    if burst_mean < 1:
+    if not (0 < trigger_gap < np.inf and 0 <= intra_gap < np.inf):
+        raise InvalidConfigError(
+            "trigger_gap must be positive, intra_gap >= 0, both finite"
+        )
+    if not burst_mean >= 1:
         raise InvalidConfigError(f"burst_mean must be >= 1, got {burst_mean}")
     if idle_run < 1:
         raise InvalidConfigError(f"idle_run must be >= 1, got {idle_run}")
@@ -110,10 +114,10 @@ def inject_periodic(
     the train length; fraction is relative to the base event count. The
     labels array marks each merged event as background or injected.
     """
-    if period <= 0:
-        raise InvalidConfigError(f"period must be positive, got {period}")
-    if jitter < 0:
-        raise InvalidConfigError(f"jitter must be >= 0, got {jitter}")
+    if not 0 < period < np.inf:
+        raise InvalidConfigError(f"period must be finite and positive, got {period}")
+    if not 0 <= jitter < np.inf:
+        raise InvalidConfigError(f"jitter must be finite and >= 0, got {jitter}")
     if base.m == 0:
         raise InvalidConfigError("base stream is empty")
     if (count is None) == (fraction is None):

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from renewalstream.cli import main
+from renewalstream.cli import SETTINGS, main
 from renewalstream.ingest import parse_stream
 from renewalstream.synth import gen_poisson, inject_periodic
 
@@ -130,6 +136,179 @@ def test_malformed_range_flag_fails_with_one_error_line(
     assert main([args[0], str(poisson_log), *args[1:]]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
+
+
+def _argv(command, log, tmp_path):
+    if command == "simulate":
+        return ["simulate", "--out", str(tmp_path / "sim.log")]
+    if command == "downsample":
+        return ["downsample", str(log), "--out", str(tmp_path / "down.log")]
+    return [command, str(log)]
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("detect", {"k": "abc"}, "--k must be an integer, got 'abc'"),
+        ("analyze", {"k": True}, "--k must be an integer, got True"),
+        ("analyze", {"k": 4.0}, "--k must be an integer, got 4.0"),
+        ("characterize", {"delta": False}, "--delta must be a number, got False"),
+        ("detect", {"n_sub": None}, "--n-sub must be an integer, got None"),
+        ("detect", [1, 2], "{CFG} must hold one JSON object"),
+        ("detect", "kk", "{CFG} must hold one JSON object"),
+        ("detect", {"n_subs": 4}, "{CFG}: unknown key 'n_subs'"),
+        ("analyze", {"seed": 3}, "{CFG}: unknown key 'seed'"),
+        ("simulate", {"out_dir": "x"}, "{CFG}: unknown key 'out_dir'"),
+        ("detect", {"exclude_origin_bin": "false"},
+         "--exclude-origin-bin must be true or false, got 'false'"),
+        ("simulate", {"seed": "x"}, "--seed must be an integer, got 'x'"),
+        ("simulate", {"mean_gap": [2]}, "--mean-gap must be a number, got [2]"),
+        ("downsample", {"downsample": [2, 3, 4]},
+         "--downsample must be min:max, got [2, 3, 4]"),
+        ("downsample", {"downsample": [2, 3.5]},
+         "--downsample must be min:max, got [2, 3.5]"),
+        ("analyze", {"out_dir": 7}, "--out-dir must be a path, got 7"),
+    ],
+)
+def test_bad_config_fails_with_one_error_line_naming_it(
+    tmp_path, poisson_log, capsys, command, config, message
+):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = [*_argv(command, poisson_log, tmp_path), "--config", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: " + message.format(CFG=path)
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "stream.log"]
+
+
+@pytest.mark.parametrize("text", ["{k: 3}", "[" * 100_000 + "]" * 100_000])
+def test_config_that_is_not_json_fails_with_one_error_line(
+    tmp_path, poisson_log, capsys, text
+):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(poisson_log), "--config", str(path)]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith(f"error: {path} is not valid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ({"delta": "1"}, ["--delta", "1"]),
+        ({"half_window": "3", "trim": 0}, ["--half-window", "3", "--trim", "0"]),
+        ({"exclude_origin_bin": True, "k": 40}, ["--exclude-origin-bin", "--k", "40"]),
+        ({"exclude_origin_bin": False}, []),
+    ],
+)
+def test_config_values_read_as_the_flags_read(
+    tmp_path, poisson_log, capsys, config, flags
+):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    from_file = main(["detect", str(poisson_log), "--config", str(path)])
+    file_out = capsys.readouterr()
+    from_flags = main(["detect", str(poisson_log), *flags])
+    assert (from_file, file_out) == (from_flags, capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "command, written", [("characterize", "e.csv"), ("detect", "detection.json")]
+)
+def test_out_dir_from_config_writes_as_the_flag_does(
+    tmp_path, poisson_log, command, written
+):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"out_dir": str(tmp_path / "c")}), encoding="utf-8")
+    assert main([command, str(poisson_log), "--config", str(path)]) == 0
+    assert main([command, str(poisson_log), "--out-dir", str(tmp_path / "f")]) == 0
+    assert (tmp_path / "c" / written).read_bytes() == (
+        tmp_path / "f" / written
+    ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["detect", "{LOG}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["detect", "{LOG}", "--k", "1O"], "--k must be an integer, got '1O'"),
+        (["analyze", "{LOG}", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["characterize", "{LOG}", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["simulate"], "the following arguments are required: --out"),
+        (["simulate", "--kind", "weird", "--out", "X"],
+         "argument --kind: invalid choice: 'weird'"),
+        (["analyze"], "the following arguments are required: input"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_error_exits_one_not_two(
+    tmp_path, monkeypatch, poisson_log, capsys, args, message
+):
+    monkeypatch.chdir(tmp_path)  # a run that wrongly went ahead writes here
+    assert main([a.format(LOG=poisson_log) for a in args]) == 1
+    captured = capsys.readouterr()
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith(f"error: {message}")
+    assert captured.out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["detect", "--help"])
+    assert exit_info.value.code == 0
+    assert "--exclude-origin-bin" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, target, reason",
+    [
+        (["characterize", "{LOG}", "--out-dir", "{FILE}"], "{FILE}", "File exists"),
+        (["downsample", "{LOG}", "--downsample", "2:3", "--out", "{DIR}"], "{DIR}",
+         "Is a directory"),
+        (["simulate", "--out", "{DIR}/missing/x.log"], "{DIR}/missing/x.log",
+         "No such file or directory"),
+    ],
+)
+def test_write_failure_fails_with_one_error_line(
+    tmp_path, poisson_log, capsys, args, target, reason
+):
+    names = {"LOG": poisson_log, "FILE": poisson_log, "DIR": tmp_path}
+    argv = [a.format(**names) for a in args]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {target.format(**names)}: {reason}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [("poisson", "--mean-gap"), ("cluster", "--trigger-gap"),
+     ("cluster", "--intra-gap"), ("periodic", "--period"), ("periodic", "--jitter")],
+)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_generator_parameter_fails_with_one_error_line(
+    tmp_path, capsys, kind, flag, value
+):
+    out = tmp_path / "sim.log"
+    assert main(["simulate", "--kind", kind, flag, value, "--out", str(out)]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error:")
+    assert "finite" in err_lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "detect"])
+def test_span_beyond_int64_fails_with_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "wide.log"
+    lines = [str(t) for t in range(0, 18000, 3)] + ["-9223372036854775808"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: stream spans 9223372036854793805 seconds, beyond the int64 range"
+    ]
 
 
 class TestDetect:
@@ -270,3 +449,99 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "analyze" in proc.stdout
+
+
+FUZZ_COMMANDS = ["analyze", "detect", "characterize", "simulate", "downsample"]
+JUNK_KEYS = ["kk", "n_subs", "input", "out", "config", "labels", "kind", "seed"]
+# No "/" or "." in drawn text, so an out_dir drawn as text stays below the
+# run directory. simulate draws numbers up to 50 only: gen_cluster allocates
+# about 17 * burst_mean floats, and neither it nor --m has a bound yet.
+TEXT = st.text(alphabet="ab19-_ :,eEé\x00", max_size=6)
+SPECIALS = [0.0, -1.0, 1e-9, math.nan]
+BIG_SPECIALS = [1e300, math.inf, -math.inf]
+
+
+def _fuzz_value(command, key, as_text):
+    """Mostly a value of the setting's form, sometimes one of any JSON type."""
+    simulate = command == "simulate"
+    integers = st.integers(-3, 50 if simulate else 5000)
+    specials = st.sampled_from(SPECIALS + ([] if simulate else BIG_SPECIALS))
+    numbers = st.one_of(integers, st.floats(0.5, 50), specials, specials)
+    if key in ("thresholds", "downsample"):
+        items = st.floats(0, 0.05) if key == "thresholds" else st.integers(-1, 6)
+        sep = "," if key == "thresholds" else ":"
+        good = st.lists(items, min_size=2, max_size=2)
+        good = st.one_of(good, good.map(lambda p: sep.join(map(str, p))))
+    elif key == "out_dir":
+        good = TEXT
+    elif key == "exclude_origin_bin":
+        good = st.booleans()
+    elif key in SETTINGS and SETTINGS[key][0].form == "an integer":
+        good = st.one_of(integers, integers.map(str))
+    else:
+        good = st.one_of(numbers, numbers.map(str))
+    if as_text:
+        return good.map(lambda v: v if isinstance(v, str) else json.dumps(v))
+    scalars = st.one_of(numbers, st.booleans(), TEXT, st.none())
+    junk = st.one_of(
+        scalars,
+        st.lists(scalars, max_size=3),
+        st.dictionaries(TEXT, scalars, max_size=2),
+    )
+    return st.one_of(good, good, junk)
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(FUZZ_COMMANDS))
+    keys = [key for key, row in SETTINGS.items() if command in row[1].split()]
+    config = None
+    if draw(st.booleans()):
+        # mostly the command's own keys, so that most draws reach the library
+        names = draw(st.lists(st.sampled_from(keys * 4 + JUNK_KEYS), max_size=3))
+        config = {key: draw(_fuzz_value(command, key, False)) for key in names}
+        if draw(st.sampled_from(range(10))) == 0:
+            config = draw(_fuzz_value(command, "k", False))
+    flags = []
+    if command == "simulate":
+        flags += ["--kind", draw(st.sampled_from(["poisson", "cluster", "periodic"]))]
+    for key in draw(st.lists(st.sampled_from(keys * 4 + ["bogus"]), max_size=3)):
+        flags.append("--" + key.replace("_", "-"))
+        if key != "exclude_origin_bin":
+            flags.append(draw(_fuzz_value(command, key, True)))
+    return command, config, flags
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    write_stream(path / "in.log", gen_poisson(2.0, 2000, seed=5))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocation=_invocations())
+def test_any_settings_end_in_an_exit_code_and_at_most_one_error_line(
+    fuzz_dir, invocation
+):
+    command, config, flags = invocation
+    if command == "simulate":
+        argv = ["simulate", "--out", "sim.log"]
+    elif command == "downsample":
+        argv = ["downsample", "in.log", "--out", "down.log"]
+    else:
+        argv = [command, "in.log"]
+    if config is not None:
+        (fuzz_dir / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", "cfg.json"]
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + flags)
+    finally:
+        os.chdir(cwd)
+    assert code in ((0, 1, 2) if command == "detect" else (0, 1))
+    error_lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(error_lines) <= 1

@@ -232,6 +232,18 @@ class TestInterArrivals:
         with pytest.raises(InsufficientDataError):
             inter_arrivals(EventStream(np.asarray([1])))
 
+    def test_span_beyond_int64_rejected(self):
+        # every time fits int64, but the first gap would wrap in np.diff
+        low = np.iinfo(np.int64).min
+        stream = EventStream(np.asarray([low, *range(0, 18000, 3)]))
+        assert stream.span == 17997 - low
+        with pytest.raises(StreamAnalysisError, match=f"spans {17997 - low} seconds"):
+            inter_arrivals(stream)
+
+    def test_span_of_int64_max_still_differenced(self):
+        stream = EventStream(np.asarray([0, np.iinfo(np.int64).max]))
+        assert inter_arrivals(stream).values.tolist() == [2**63 - 1]
+
     @given(
         st.lists(st.integers(min_value=0, max_value=10**6), min_size=2, max_size=100)
     )

@@ -49,6 +49,11 @@ class TestGenPoisson:
         with pytest.raises(InvalidConfigError):
             gen_poisson(1.0, 1, seed=0)
 
+    @pytest.mark.parametrize("mean_gap", [np.nan, np.inf])
+    def test_non_finite_mean_gap_rejected(self, mean_gap):
+        with pytest.raises(InvalidConfigError, match="finite"):
+            gen_poisson(mean_gap, 100, seed=0)
+
     def test_zero_gaps_present_at_high_rate(self):
         stream = gen_poisson(0.8, 10_000, seed=2)
         gaps = inter_arrivals(stream).values
@@ -88,6 +93,15 @@ class TestGenCluster:
             gen_cluster(5.0, 0.5, 1.0, 100, seed=0)
         with pytest.raises(InvalidConfigError):
             gen_cluster(5.0, 2.0, 1.0, 100, seed=0, idle_run=0.5)
+
+    @pytest.mark.parametrize(
+        "trigger_gap, burst_mean, intra_gap",
+        [(np.nan, 3.0, 1.0), (np.inf, 3.0, 1.0), (5.0, np.nan, 1.0),
+         (5.0, 3.0, np.nan), (5.0, 3.0, np.inf)],
+    )
+    def test_non_finite_parameters_rejected(self, trigger_gap, burst_mean, intra_gap):
+        with pytest.raises(InvalidConfigError):
+            gen_cluster(trigger_gap, burst_mean, intra_gap, 100, seed=0)
 
 
 class TestInjectPeriodic:
@@ -136,6 +150,10 @@ class TestInjectPeriodic:
             inject_periodic(base, 10.0, count=5, fraction=0.1)
         with pytest.raises(InvalidConfigError):
             inject_periodic(base, 10.0, count=-1)
+        for period, jitter in [(np.nan, 0.0), (np.inf, 0.0), (10.0, np.nan),
+                               (10.0, np.inf)]:
+            with pytest.raises(InvalidConfigError, match="finite"):
+                inject_periodic(base, period, jitter=jitter, count=5)
 
 
 class TestGeneratorSpec:
