@@ -53,7 +53,10 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise StreamAnalysisError(f"cannot read {path}: {exc.strerror}") from None
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 at byte {exc.start} ({exc.reason})"
+    raise StreamAnalysisError(f"cannot read {path}: {reason}")
 
 
 def _read_stream(path: str):
@@ -140,12 +143,12 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _convert(key: str, value):
+def _convert(key: str, value, name: str | None = None):
     kind = SETTINGS[key][0]
     try:
         return _parse(kind, value)
     except (TypeError, ValueError, OverflowError):
-        message = f"{_flag(key)} must be {kind.form}, got {value!r}"
+        message = f"{name or _flag(key)} must be {kind.form}, got {value!r}"
         raise InvalidConfigError(message) from None
 
 
@@ -165,11 +168,14 @@ def _config_file(path: str, keys: list[str]) -> dict:
 def _settings(args: argparse.Namespace) -> dict:
     """The command's settings by field name: flag, else file, else CLI default."""
     keys = [key for key, row in SETTINGS.items() if args.command in row[1].split()]
-    # the library has no default for these two
-    given = {"m": 1000, "seed": os.environ.get(ENV_SEED) or 0}
+    given = {}
     if args.config is not None:
         given.update(_config_file(args.config, keys))
     given.update((key, value) for key, value in vars(args).items() if key in keys)
+    env_seed = os.environ.get(ENV_SEED)
+    if env_seed and "seed" in keys and "seed" not in given:
+        given["seed"] = _convert("seed", env_seed, f"${ENV_SEED}")
+    given = {"m": 1000, "seed": 0} | given  # the library has no default for these
     return {
         FIELDS.get(key, key): _convert(key, given[key]) for key in keys if key in given
     }

@@ -23,6 +23,30 @@ from .ingest import EventStream
 LABEL_BACKGROUND = "background"
 LABEL_INJECTED = "injected"
 
+# Most events a generator draws at once: 2**24 int64 times are 134 MB.
+MAX_EVENTS = 1 << 24
+# Generated times stay below 2**62 s in magnitude. A float sum of at most
+# MAX_EVENTS rounded gaps is within a relative 2**-29 of the exact sum, so
+# a stream checked against this bound cannot overflow int64 when summed.
+MAX_TIME = 2.0**62
+
+
+def _check_m(m: int) -> None:
+    if not 2 <= m <= MAX_EVENTS:
+        raise InvalidConfigError(f"need 2 <= m <= {MAX_EVENTS} events, got {m}")
+
+
+def _stream_from_gaps(gaps: np.ndarray) -> EventStream:
+    """Round gaps to whole seconds and accumulate them from time 0."""
+    rounded = np.rint(gaps)
+    with np.errstate(over="ignore"):  # a sum that overflows is rejected below
+        span = rounded.sum()
+    if not span < MAX_TIME:
+        raise InvalidConfigError(
+            f"the stream would span {span:.3g} s, more than {MAX_TIME:.3g} s"
+        )
+    return EventStream(np.concatenate([[0], np.cumsum(rounded.astype(np.int64))]))
+
 
 def gen_poisson(mean_gap: float, m: int, seed: int) -> EventStream:
     """Memoryless stream: iid exponential gaps with the given mean."""
@@ -30,12 +54,9 @@ def gen_poisson(mean_gap: float, m: int, seed: int) -> EventStream:
         raise InvalidConfigError(
             f"mean_gap must be finite and positive, got {mean_gap}"
         )
-    if m < 2:
-        raise InvalidConfigError(f"need m >= 2 events, got {m}")
+    _check_m(m)
     rng = np.random.default_rng(seed)
-    gaps = np.rint(rng.exponential(mean_gap, m - 1)).astype(np.int64)
-    times = np.concatenate([[0], np.cumsum(gaps)])
-    return EventStream(times)
+    return _stream_from_gaps(rng.exponential(mean_gap, m - 1))
 
 
 def gen_cluster(
@@ -56,7 +77,9 @@ def gen_cluster(
     gap between bursts would not achieve (with one long gap per burst and
     geometric sizes the gap sequence is an iid mixture).
 
-    burst_mean = 1 degenerates to iid exponential(trigger_gap) gaps.
+    burst_mean = 1 degenerates to iid exponential(trigger_gap) gaps. Each
+    round draws about 1.5 m + 16 (burst_mean - 1 + idle_run) gaps, which
+    may not pass 2 * MAX_EVENTS.
     Expected mean gap:
     ((burst_mean - 1) * intra_gap + idle_run * trigger_gap)
     / (burst_mean - 1 + idle_run).
@@ -69,12 +92,17 @@ def gen_cluster(
         raise InvalidConfigError(f"burst_mean must be >= 1, got {burst_mean}")
     if idle_run < 1:
         raise InvalidConfigError(f"idle_run must be >= 1, got {idle_run}")
-    if m < 2:
-        raise InvalidConfigError(f"need m >= 2 events, got {m}")
+    _check_m(m)
 
     rng = np.random.default_rng(seed)
     gaps_per_cycle = (burst_mean - 1.0) + idle_run
     n_cycles = int(np.ceil(1.5 * m / gaps_per_cycle)) + 16
+    draw = n_cycles * gaps_per_cycle
+    if not draw <= 2 * MAX_EVENTS:
+        raise InvalidConfigError(
+            f"burst_mean {burst_mean} and idle_run {idle_run} would draw about "
+            f"{draw:.3g} gaps at once, more than {2 * MAX_EVENTS}"
+        )
 
     gaps = np.empty(0)
     while gaps.size < m - 1:
@@ -93,9 +121,7 @@ def gen_cluster(
         )
         vals = np.concatenate([intra_vals, idle_vals])
         gaps = np.concatenate([gaps, vals[np.argsort(keys, kind="stable")]])
-    rounded = np.rint(gaps[: m - 1]).astype(np.int64)
-    times = np.concatenate([[0], np.cumsum(rounded)])
-    return EventStream(times)
+    return _stream_from_gaps(gaps[: m - 1])
 
 
 def inject_periodic(
@@ -123,11 +149,15 @@ def inject_periodic(
     if (count is None) == (fraction is None):
         raise InvalidConfigError("give exactly one of count and fraction")
     if count is None:
-        if not 0 <= fraction:
-            raise InvalidConfigError(f"fraction must be >= 0, got {fraction}")
-        count = int(round(fraction * base.m))
-    if count < 0:
-        raise InvalidConfigError(f"count must be >= 0, got {count}")
+        size = fraction * base.m
+        if not 0 <= size <= MAX_EVENTS:
+            raise InvalidConfigError(
+                f"fraction {fraction} gives a train of {size:.3g} events; "
+                f"need 0 to {MAX_EVENTS}"
+            )
+        count = int(round(size))
+    if not 0 <= count <= MAX_EVENTS:
+        raise InvalidConfigError(f"need 0 <= count <= {MAX_EVENTS}, got {count}")
 
     rng = np.random.default_rng(seed)
     if start is None:
@@ -138,7 +168,13 @@ def inject_periodic(
         )
 
     offsets = rng.uniform(-jitter, jitter, count)
-    injected = np.rint(start + np.arange(count) * period + offsets).astype(np.int64)
+    injected = np.rint(start + np.arange(count) * period + offsets)
+    reach = np.abs(injected).max()
+    if not reach < MAX_TIME:
+        raise InvalidConfigError(
+            f"the train would reach {reach:.3g} s, more than {MAX_TIME:.3g} s"
+        )
+    injected = injected.astype(np.int64)
 
     merged = np.concatenate([base.times, injected])
     labels = np.asarray([LABEL_BACKGROUND] * base.m + [LABEL_INJECTED] * count)

@@ -284,6 +284,50 @@ def test_write_failure_fails_with_one_error_line(
 
 
 @pytest.mark.parametrize(
+    "data, message",
+    [(b"\xff\xfe", "byte 0 (invalid start byte)"),
+     (b"1\n2\n\xc3", "byte 4 (unexpected end of data)")],
+)
+def test_non_utf8_input_fails_with_one_error_line(tmp_path, capsys, data, message):
+    path = tmp_path / "binary.log"
+    path.write_bytes(data)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read {path}: not UTF-8 at {message}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--mean-gap", "1e300", "--m", "5"], "the stream would span"),
+        (["--kind", "cluster", "--trigger-gap", "1e300", "--m", "5"],
+         "the stream would span"),
+        (["--kind", "periodic", "--period", "1e300", "--m", "50"],
+         "the train would reach"),
+        (["--kind", "periodic", "--fraction", "1e300", "--m", "5"],
+         "gives a train of"),
+        (["--kind", "periodic", "--fraction", "inf", "--m", "5"], "gives a train of"),
+        (["--m", "1000000000000"], "need 2 <= m <= 16777216"),
+        (["--kind", "cluster", "--m", "1000000000000"], "need 2 <= m <= 16777216"),
+        (["--kind", "cluster", "--burst-mean", "1e15", "--m", "5"],
+         "would draw about"),
+        (["--kind", "cluster", "--burst-mean", "inf", "--m", "5"], "would draw about"),
+    ],
+)
+def test_generator_out_of_range_fails_with_one_error_line(
+    tmp_path, capsys, args, message
+):
+    # every value here is rejected before a stream is drawn
+    out = tmp_path / "sim.log"
+    assert main(["simulate", *args, "--out", str(out)]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error:")
+    assert message in err_lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "kind, flag",
     [("poisson", "--mean-gap"), ("cluster", "--trigger-gap"),
      ("cluster", "--intra-gap"), ("periodic", "--period"), ("periodic", "--jitter")],
@@ -404,6 +448,17 @@ class TestSimulate:
         assert main(base + ["--seed", "78", "--out", str(out_other)]) == 0
         assert out_env.read_bytes() == out_flag.read_bytes()
         assert out_env.read_bytes() != out_other.read_bytes()
+
+    def test_bad_env_seed_is_named_as_the_variable(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "sim.log"
+        monkeypatch.setenv("RS_SEED", "x")
+        assert main(["simulate", "--m", "50", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: $RS_SEED must be an integer, got 'x'"
+        ]
+        assert not out.exists()
+        # a flag takes precedence, so the variable is not read at all
+        assert main(["simulate", "--m", "50", "--seed", "3", "--out", str(out)]) == 0
 
 
 class TestDownsample:

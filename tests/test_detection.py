@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gammainc
 
+import renewalstream.detection as detection
 from renewalstream.detection import (
     DetectionConfig,
     chi_square_cdf,
@@ -42,6 +45,70 @@ def trimmed_mean_smooth_loop(sub, half_window, trim_fraction):
         kept = np.sort(window)[trim : window.size - trim]
         out[t] = kept.mean() if kept.size else window.mean()
     return out
+
+
+def trimmed_mean_smooth_per_block(sub, half_window, trim_fraction):
+    """The former one-sub-density smoother, kept as a bit-for-bit oracle."""
+    n = sub.size
+    reach = min(half_window, n - 1)
+    offsets = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
+    columns = np.arange(offsets.size)
+    idx = np.arange(n)[:, None] + offsets
+    valid = (idx >= 0) & (idx < n)
+    window = np.sort(np.where(valid, sub[idx.clip(0, n - 1)], np.inf), axis=1)
+    size = valid.sum(axis=1)
+    trim = (trim_fraction * size).astype(np.int64)
+    kept = (columns >= trim[:, None]) & (columns < (size - trim)[:, None])
+    return np.where(kept, window, 0.0).sum(axis=1) / (size - 2 * trim)
+
+
+def chi_square_stat_per_block(sub, smoothed):
+    """The former one-sub-density statistic, kept as a bit-for-bit oracle."""
+    diff2 = np.zeros_like(sub)
+    np.divide((sub - smoothed) ** 2, smoothed, out=diff2, where=smoothed != 0.0)
+    return float(diff2.sum())
+
+
+def detect_per_block(estimate, config):
+    """The former detect loop, one sub-density per call of each step, as
+    benchmark/spans.py replays it; returns (chi2, p, flag) per sub-density
+    and the dropped bins."""
+    values = np.asarray(estimate.values, dtype=np.float64)
+    if config.exclude_origin_bin and values.size > 1:
+        values = values[1:]
+    normalized = normalize_rd(make_estimate(values))
+    blocks, dropped = split_subdensities(normalized, config.n_sub)
+    n_bins = blocks[0].size
+    half_window = config.half_window or max(1, n_bins // 2)
+    rows = []
+    for block in blocks:
+        smoothed = trimmed_mean_smooth(block, half_window, config.trim_fraction)
+        chi2 = chi_square_stat(block, smoothed)
+        p = chi_square_cdf(chi2, n_bins)
+        rows.append((chi2, p, p > 1.0 - config.p_fa))
+    return rows, dropped
+
+
+def lower_gamma_40_digits(a, x):
+    """P(a, x) from mpmath at 40 digits: x**a e**-x / Gamma(a + 1) 1F1(1; a + 1; x)."""
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(float(a)), mpmath.mpf(float(x))
+        power = mpmath.exp(a * mpmath.log(x) - x - mpmath.loggamma(a + 1))
+        return power * mpmath.hyp1f1(1, a + 1, x, maxterms=10**7)
+
+
+def cdf_oracle_grid():
+    """(dof, x): dof from 1 to 30,000, x/2 from a e**-3 to a e**1.5 and at
+    a + j sqrt(a) for j in -8..8, where a = dof / 2."""
+    dofs, xs = [], []
+    for dof in np.unique(np.geomspace(1, 30_000, 120).round().astype(int)):
+        a = dof / 2.0
+        ratios = np.exp(np.linspace(-3.0, 1.5, 25))
+        half_x = np.concatenate([a * ratios, a + np.arange(-8, 9) * math.sqrt(a)])
+        half_x = half_x[half_x >= 0]
+        dofs += [dof] * half_x.size
+        xs += (2.0 * half_x).tolist()
+    return np.asarray(dofs), np.asarray(xs)
 
 
 def chi2_cdf_quadrature(x, dof, n=200_001):
@@ -145,13 +212,34 @@ class TestTrimmedMeanSmooth:
         assert np.max(np.abs(out - expected)) <= 1e-12 * max(1.0, max(sub))
 
     def test_row_batches_match_per_bin_loop(self, monkeypatch):
-        import renewalstream.detection as detection
-
         monkeypatch.setattr(detection, "_SMOOTH_BATCH", 50)
         sub = np.random.default_rng(3).random(101) * 10.0
         out = trimmed_mean_smooth(sub, 12, 0.35)
         expected = trimmed_mean_smooth_loop(sub, 12, 0.35)
         assert np.max(np.abs(out - expected)) <= 1e-12 * 10.0
+
+    @given(
+        sub=st.lists(
+            st.floats(min_value=0, max_value=100), min_size=2, max_size=40
+        ),
+        half_window=st.integers(min_value=1, max_value=50),
+        trim=st.floats(min_value=0, max_value=0.49),
+    )
+    def test_one_row_has_the_per_block_bits(self, sub, half_window, trim):
+        sub = np.asarray(sub)
+        out = trimmed_mean_smooth(sub, half_window, trim)
+        expected = trimmed_mean_smooth_per_block(sub, half_window, trim)
+        assert out.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("batch", [7, 50, 1 << 17])
+    def test_matrix_rows_have_the_one_row_bits(self, monkeypatch, batch):
+        # small batches split a sub-density between two batches
+        monkeypatch.setattr(detection, "_SMOOTH_BATCH", batch)
+        rows = np.random.default_rng(4).random((9, 23)) * 10.0
+        out = trimmed_mean_smooth(rows, 6, 0.35)
+        assert out.shape == rows.shape
+        for row, smoothed in zip(rows, out):
+            assert smoothed.tolist() == trimmed_mean_smooth(row, 6, 0.35).tolist()
 
     @given(
         sub=st.lists(
@@ -191,6 +279,22 @@ class TestChiSquareStat:
         for o, e in zip(sub.tolist(), smoothed.tolist()):
             expected += (o - e) ** 2 / e
         assert chi_square_stat(sub, smoothed) == pytest.approx(expected, rel=1e-12)
+
+    def test_matrix_rows_have_the_per_block_bits(self):
+        rows = np.random.default_rng(5).random((12, 37)) + 0.25
+        smoothed = trimmed_mean_smooth(rows, 9, 0.3)
+        stats = chi_square_stat(rows, smoothed)
+        assert stats.tolist() == [
+            chi_square_stat_per_block(r, b) for r, b in zip(rows, smoothed)
+        ]
+        assert stats.tolist() == [chi_square_stat(r, b) for r, b in zip(rows, smoothed)]
+
+    def test_degenerate_bin_in_any_row_rejected(self):
+        rows = np.ones((3, 4))
+        baseline = np.ones((3, 4))
+        baseline[2, 1] = 0.0
+        with pytest.raises(DegenerateBinError):
+            chi_square_stat(rows, baseline)
 
     @given(
         sub=st.lists(
@@ -235,6 +339,40 @@ class TestChiSquareCdf:
         grid = np.linspace(0, 60, 200)
         values = [chi_square_cdf(x, 12) for x in grid]
         assert np.all(np.diff(values) >= 0)
+
+    def test_matches_scipy_on_grid(self):
+        dof, x = cdf_oracle_grid()
+        assert x.size >= 3900 and dof.min() == 1 and dof.max() == 30_000
+        ours = chi_square_cdf(x, dof)
+        ref = gammainc(dof / 2.0, x / 2.0)
+        assert np.max(np.abs(ours - ref)) <= 1e-14
+        # scipy takes a ln x - x - lgamma(a) directly when |x - a| > 0.4 a,
+        # which loses up to ~6e-12 relative at a of a few thousand (26 grid
+        # points). Where the two differ by more than 1e-12, the 40-digit
+        # value must be within 1e-12 of ours and nearer ours than scipy's.
+        big = np.flatnonzero(ref >= 1e-300)
+        rel = np.abs(ours[big] - ref[big]) / ref[big]
+        for i in big[rel > 1e-12]:
+            exact = lower_gamma_40_digits(dof[i] / 2.0, x[i] / 2.0)
+            assert abs(ours[i] - exact) <= 1e-12 * exact
+            assert abs(ours[i] - exact) < abs(ref[i] - exact)
+
+    def test_scalar_call_has_the_array_bits(self):
+        dof, x = cdf_oracle_grid()
+        ours = chi_square_cdf(x, dof)
+        assert chi_square_cdf(x[::-1], dof[::-1]).tolist() == ours[::-1].tolist()
+        # every fifth point keeps the one-call-per-point loop near a second
+        points = zip(x[::5].tolist(), dof[::5].tolist())
+        assert [chi_square_cdf(v, k) for v, k in points] == ours[::5].tolist()
+
+    def test_array_edges(self):
+        out = chi_square_cdf(np.asarray([0.0, np.inf, np.nan, 3.84]), 1)
+        assert out[:2].tolist() == [0.0, 1.0] and math.isnan(out[2])
+        assert out[3] == chi_square_cdf(3.84, 1)
+        with pytest.raises(InvalidConfigError):
+            chi_square_cdf(np.asarray([1.0, -0.1]), 3)
+        with pytest.raises(InvalidConfigError):
+            chi_square_cdf(1.0, np.asarray([3, 0]))
 
 
 class TestDetect:
@@ -302,6 +440,36 @@ class TestDetect:
             "dropped_bins",
         }
         assert set(data["subs"][0]) == {"index", "chi2", "p", "flag"}
+
+    @pytest.mark.parametrize(
+        "n_values, config, batch",
+        [
+            # many narrow sub-densities, as on the sparse-detect workload
+            (1283, DetectionConfig(n_sub=40), None),
+            (1283, DetectionConfig(n_sub=40, exclude_origin_bin=True), None),
+            # wide sub-densities at the default n_sub; 3 bins dropped
+            (4003, DetectionConfig(), None),
+            (400, DetectionConfig(n_sub=16, half_window=3, trim_fraction=0.2), None),
+            # a batch holds 4 neighbor rows, so batches split sub-densities
+            (400, DetectionConfig(n_sub=16), 100),
+        ],
+    )
+    def test_matches_the_per_block_loop_bit_for_bit(
+        self, monkeypatch, n_values, config, batch
+    ):
+        if batch is not None:
+            monkeypatch.setattr(detection, "_SMOOTH_BATCH", batch)
+        rng = np.random.default_rng(n_values)
+        values = rng.exponential(1.0, n_values) + 0.1
+        values[0] = 40.0
+        values[::37] += 3.0  # a periodic comb for some sub-densities to flag
+        estimate = make_estimate(values)
+        report = detect(estimate, config)
+        rows, dropped = detect_per_block(estimate, config)
+        assert [(s.chi2, s.p, s.flag) for s in report.subs] == rows
+        assert report.dropped_bins == dropped
+        assert report.detected == any(flag for _, _, flag in rows)
+        assert all(type(s.chi2) is float and type(s.p) is float for s in report.subs)
 
     def test_invalid_configs_rejected(self):
         est = make_estimate(np.ones(16))

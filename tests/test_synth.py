@@ -54,6 +54,12 @@ class TestGenPoisson:
         with pytest.raises(InvalidConfigError, match="finite"):
             gen_poisson(mean_gap, 100, seed=0)
 
+    def test_out_of_range_rejected_before_drawing(self):
+        with pytest.raises(InvalidConfigError, match="would span"):
+            gen_poisson(1e300, 5, seed=0)
+        with pytest.raises(InvalidConfigError, match="m <= 16777216"):
+            gen_poisson(1.0, 10**12, seed=0)
+
     def test_zero_gaps_present_at_high_rate(self):
         stream = gen_poisson(0.8, 10_000, seed=2)
         gaps = inter_arrivals(stream).values
@@ -102,6 +108,15 @@ class TestGenCluster:
     def test_non_finite_parameters_rejected(self, trigger_gap, burst_mean, intra_gap):
         with pytest.raises(InvalidConfigError):
             gen_cluster(trigger_gap, burst_mean, intra_gap, 100, seed=0)
+
+    def test_out_of_range_rejected_before_drawing(self):
+        with pytest.raises(InvalidConfigError, match="would span"):
+            gen_cluster(1e300, 3.0, 1.0, 5, seed=0)
+        with pytest.raises(InvalidConfigError, match="m <= 16777216"):
+            gen_cluster(10.0, 3.0, 1.0, 10**12, seed=0)
+        for burst_mean, idle_run in [(1e15, 3.0), (np.inf, 3.0), (3.0, 1e15)]:
+            with pytest.raises(InvalidConfigError, match="would draw about"):
+                gen_cluster(10.0, burst_mean, 1.0, 5, seed=0, idle_run=idle_run)
 
 
 class TestInjectPeriodic:
@@ -154,6 +169,18 @@ class TestInjectPeriodic:
                                (10.0, np.inf)]:
             with pytest.raises(InvalidConfigError, match="finite"):
                 inject_periodic(base, period, jitter=jitter, count=5)
+
+    def test_out_of_range_rejected_before_casting(self):
+        base = gen_poisson(2.0, 100, seed=1)
+        with pytest.raises(InvalidConfigError, match="would reach"):
+            inject_periodic(base, 1e300, count=5)
+        with pytest.raises(InvalidConfigError, match="would reach"):
+            inject_periodic(base, 1.0, count=2, start=-1e19)
+        for fraction in (np.nan, np.inf, 1e300, -0.5):
+            with pytest.raises(InvalidConfigError, match="gives a train of"):
+                inject_periodic(base, 10.0, fraction=fraction)
+        with pytest.raises(InvalidConfigError, match="count <= 16777216"):
+            inject_periodic(base, 10.0, count=10**12)
 
 
 class TestGeneratorSpec:
