@@ -47,9 +47,10 @@ FFT_MIN_LAGS_PER_SECOND = 15
 # Points per FFT batch of the count series: bounds the FFT path's memory.
 _FFT_BATCH_POINTS = 1 << 16
 # Bin indices gathered before one bincount (more when the grid has more
-# bins). Filling one 2 MB buffer, rather than listing the indices and
-# concatenating them, keeps the direct path's peak memory and its
-# allocations small.
+# bins). Only chunks of fewer indices than the grid has bins are gathered;
+# a larger chunk is counted as it is. Filling one 2 MB buffer, rather than
+# listing the indices and concatenating them, keeps the direct path's peak
+# memory and its allocations small.
 _BINCOUNT_CHUNK = 1 << 18
 
 
@@ -123,10 +124,18 @@ def _bin_lags(chunks, bin_width: float, n_bins: int) -> np.ndarray:
 
     Lag L lands in bin floor(L / bin_width) if L < n_bins * bin_width. An
     integral width divides in integers, which is exact and several times
-    faster than the float division other widths need. Bin indices are
-    gathered in one buffer that holds at least the grid's bin count, so each
-    bincount costs O(lags) rather than O(n_bins). The integer path needs the
-    grid end to fit int64.
+    faster than the float division other widths need; the integer path
+    needs the grid end to fit int64. Per chunk:
+
+    * at an integral width, the L < end mask runs only if the chunk's
+      largest lag reaches the end, and the division only above width 1 (at
+      width 1 a lag is its own bin); a float width always masks and divides,
+    * a chunk of at least n_bins indices is bincounted as it is; smaller
+      ones are copied into one buffer of at least n_bins indices and counted
+      when it fills, so no bincount costs more than O(lags).
+
+    No chunk is read after the next one is asked for, so the chunks may all
+    be one array refilled in place.
     """
     whole = float(bin_width).is_integer() and n_bins * bin_width < 2**63
     if whole:
@@ -136,21 +145,25 @@ def _bin_lags(chunks, bin_width: float, n_bins: int) -> np.ndarray:
     pending = np.empty(max(n_bins, _BINCOUNT_CHUNK), dtype=np.int64)
     size = 0
     for lags in chunks:
-        lags = lags[lags < end]
-        if whole:
-            idx = lags // bin_width
-        else:
-            idx = (lags / bin_width).astype(np.int64)
-            idx = idx[idx < n_bins]
-        if size + idx.size > pending.size:
+        # one name for the lags and then their bin indices, so no chunk's
+        # arrays outlive it while the next chunk is made
+        if not whole:
+            lags = (lags[lags < end] / bin_width).astype(np.int64)
+            lags = lags[lags < n_bins]
+        elif lags.max(initial=0) >= end:
+            lags = lags[lags < end]
+        if whole and bin_width != 1:
+            lags = lags // bin_width
+        if lags.size >= n_bins:
+            counts += np.bincount(lags, minlength=n_bins)
+            continue
+        if size + lags.size > pending.size:
             counts += np.bincount(pending[:size], minlength=n_bins)
             size = 0
-        if idx.size > pending.size:
-            counts += np.bincount(idx, minlength=n_bins)
-            continue
-        pending[size : size + idx.size] = idx
-        size += idx.size
-    return counts + np.bincount(pending[:size], minlength=n_bins)
+        pending[size : size + lags.size] = lags
+        size += lags.size
+    counts += np.bincount(pending[:size], minlength=n_bins)
+    return counts
 
 
 def _beyond_order_k(t: np.ndarray, k: int, lmax: int):
@@ -225,7 +238,9 @@ def _pair_counts(
 ) -> tuple[np.ndarray, bool]:
     """Order-1..k pair lags on n_bins bins of bin_width; whether FFT ran.
 
-    The direct path bins one vector of lags per order, O(k * n_windows).
+    The direct path bins one vector of lags per order, O(k * n_windows),
+    each subtracted into the same n_windows buffer; _bin_lags says when a
+    vector is masked, divided or copied.
     The FFT path counts the lags per second, O(span log lmax), and then
     rebins them; it runs once a second of span holds enough pair lags and
     its 1 s histogram fits the grid budget. It must also subtract every pair
@@ -245,7 +260,8 @@ def _pair_counts(
             keep = (lags < grid_end) & (idx < n_bins)
             weights = hist[lags[keep]]
             return np.bincount(idx[keep], weights=weights, minlength=n_bins), True
-    chunks = (t[j : j + w] - t[:w] for j in range(1, k + 1))
+    lags = np.empty(w, dtype=t.dtype)
+    chunks = (np.subtract(t[j : j + w], t[:w], out=lags) for j in range(1, k + 1))
     return _bin_lags(chunks, bin_width, n_bins), False
 
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,16 +42,22 @@ def brute_force_partial_sums(values, k):
     return table
 
 
-def empirical_rd_loop(table, bin_width, t_max):
-    """Reference r(t): one float histogram of the sums per order, summed."""
-    n_bins = bin_count(t_max, bin_width, origin=0.0)
+def order_counts_loop(table, bin_width, n_bins):
+    """Reference counts: one float-binned histogram of the sums per order."""
     grid_end = n_bins * bin_width
-    mass = np.zeros(n_bins)
     for j in range(1, table.k + 1):
         sums = table.order(j)
         idx = np.floor(sums / bin_width).astype(np.int64)
         in_range = (sums < grid_end) & (idx >= 0) & (idx < n_bins)
-        mass += np.bincount(idx[in_range], minlength=n_bins) / table.n_windows
+        yield np.bincount(idx[in_range], minlength=n_bins)
+
+
+def empirical_rd_loop(table, bin_width, t_max):
+    """Reference r(t): the per-order histograms, each over the windows, summed."""
+    n_bins = bin_count(t_max, bin_width, origin=0.0)
+    mass = np.zeros(n_bins)
+    for counts in order_counts_loop(table, bin_width, n_bins):
+        mass += counts / table.n_windows
     return mass / bin_width
 
 
@@ -85,6 +92,33 @@ def lags_fft(t, k, lmax):
 
 def fft_ran(t, k, lmax):
     return _pair_counts(t, k, 1.0, lmax)[1]
+
+
+def sparse_detect_stream(m, seed):
+    """The detection regime: 240 s gaps and three trains of 12,000 s period."""
+    stream = gen_poisson(240.0, m, seed=seed)
+    span = stream.times[-1] - stream.times[0]
+    for i in range(3):
+        stream, _ = inject_periodic(
+            stream, 12_000.0, count=int(span // 12_000), seed=10 + i
+        )
+    return stream
+
+
+def refilled(chunks):
+    """The chunks, each written into one array that the next overwrites."""
+    buf = np.empty(max(c.size for c in chunks), dtype=np.int64)
+    for c in chunks:
+        view = buf[: c.size]
+        view[:] = c
+        yield view
+
+
+@pytest.fixture(scope="module")
+def sparse_grid():
+    """Table and 1 s grid of a 20,000-event sparse stream at k = 150."""
+    table = partial_sums(inter_arrivals(sparse_detect_stream(20_000, 1)), 150)
+    return table, bin_count(empirical_grid_end(table, 1.0), 1.0, origin=0.0)
 
 
 class TestPartialSums:
@@ -207,6 +241,16 @@ class TestEmpiricalRd:
         expected = empirical_rd_loop(table, width, t_max)
         assert np.max(np.abs(est.values - expected)) <= 1e-12 * expected.max()
 
+    def test_sparse_regime_counts_match_per_order_loop(self, sparse_grid):
+        table, n_bins = sparse_grid
+        counts, fft = _pair_counts(table.offsets, table.k, 1.0, n_bins)
+        assert not fft
+        # the low orders lie wholly on the grid and the high ones run past
+        # its end, so both kinds of order are counted
+        tops = [table.order(j).max() for j in range(1, table.k + 1)]
+        assert min(tops) < n_bins <= max(tops)
+        assert np.array_equal(counts, sum(order_counts_loop(table, 1.0, n_bins)))
+
 
 gap_lists = st.lists(
     st.one_of(
@@ -258,12 +302,7 @@ class TestLagHistograms:
         # the benchmark workloads at 1e5 events: the pair lags per second,
         # k * n_windows / span, do not depend on the event count
         if name == "sparse-detect":
-            stream, k = gen_poisson(240.0, 100_000, seed=1), 150
-            span = stream.times[-1] - stream.times[0]
-            for i in range(3):
-                stream, _ = inject_periodic(
-                    stream, 12_000.0, count=int(span // 12_000), seed=10 + i
-                )
+            stream, k = sparse_detect_stream(100_000, 1), 150
         elif name == "large":
             stream, k = gen_poisson(2.0, 100_000, seed=1), 1000
         else:
@@ -304,6 +343,45 @@ class TestLagHistograms:
         for chunk in (1, 7, 4096, 1 << 18):
             monkeypatch.setattr(estimation, "_BINCOUNT_CHUNK", chunk)
             assert np.array_equal(_bin_lags(iter(lags), width, n_bins), expected)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 18])
+    @pytest.mark.parametrize("width", [1.0, 3.0, 0.7, 2.5])
+    @pytest.mark.parametrize("n_bins", [5, 500])
+    def test_bin_lags_match_one_bincount(self, monkeypatch, n_bins, width, chunk):
+        monkeypatch.setattr(estimation, "_BINCOUNT_CHUNK", chunk)
+        rng = np.random.default_rng(n_bins)
+        top = int(np.ceil(n_bins * width))  # the lowest integer lag off the grid
+        chunks = [np.empty(0, dtype=np.int64)]
+        for size in (3, n_bins - 1, n_bins, 2 * n_bins + 5):
+            chunks += [
+                np.append(rng.integers(0, top, size - 1), top - 1),  # on the grid
+                np.append(rng.integers(0, 3 * top, size - 1), top),  # both
+                rng.integers(top, 3 * top, size),  # wholly past the end
+            ]
+        chunks = [chunks[i] for i in rng.permutation(len(chunks))]
+        lags = np.concatenate(chunks)
+        idx = np.floor(lags / width).astype(np.int64)
+        keep = (lags < n_bins * width) & (idx < n_bins)
+        expected = np.bincount(idx[keep], minlength=n_bins)
+        assert np.array_equal(_bin_lags(iter(chunks), width, n_bins), expected)
+        assert np.array_equal(_bin_lags(refilled(chunks), width, n_bins), expected)
+
+    def test_direct_path_peak_memory(self, sparse_grid):
+        # the counts and one bincount of the grid, the index buffer, two lag
+        # vectors and one mask over them: a copy of the lags more, or a list
+        # of them, breaks the bound
+        table, n_bins = sparse_grid
+        w = table.n_windows
+        pending = max(n_bins, estimation._BINCOUNT_CHUNK)
+        bound = 8 * (2 * n_bins + pending + 2 * w) + w
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert not _pair_counts(table.offsets, table.k, 1.0, n_bins)[1]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestFirstOrderPdf:
