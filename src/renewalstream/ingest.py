@@ -24,14 +24,14 @@ from .errors import (
 _EPOCH_RE = re.compile(r"[+-]?\d+")
 _ISO_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}")
 
-# Bytes per batch of the vectorized parse: bounds its temporaries.
+# Bytes per batch of the vectorized checks: bounds their temporaries.
 _PARSE_BATCH_BYTES = 1 << 20
 # 18 digits stay below 2**63, so a plain epoch line cannot overflow int64.
 _EPOCH_MAX_DIGITS = 18
 _ZERO, _NEWLINE = ord("0"), ord("\n")
 # Bytes minus the template: a digit's value in a digit column, 0 for the
-# right separator, and otherwise past the column's maximum.
-_ISO_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
+# right separator or line feed, and otherwise past the column's maximum.
+_ISO_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00\n", dtype=np.uint8)
 _ISO_MAX = np.where(_ISO_TEMPLATE == _ZERO, 9, 0).astype(np.uint8)
 
 
@@ -125,93 +125,60 @@ def _parse_lines(text: str) -> np.ndarray:
     return np.asarray(times, dtype=np.int64)
 
 
-def _digits_value(digits: np.ndarray) -> np.ndarray:
-    """Integers whose decimal digits are the columns of a digit matrix."""
-    value = np.zeros(digits.shape[0], dtype=np.int64)
-    for column in digits.T:
-        value *= 10
-        value += column
-    return value
-
-
-def _rows_by_width(chunk: np.ndarray, ends: np.ndarray):
-    """For each line width in a batch: the lines of that width, and their
-    bytes as a row matrix (a view when every line has one width)."""
-    width = np.diff(ends, prepend=-1) - 1
-    if width.min() == width.max():
-        yield slice(None), chunk[: ends[-1] + 1].reshape(ends.size, -1)[:, :-1]
-        return
-    for w in np.flatnonzero(np.bincount(width)):
-        lines = np.flatnonzero(width == w)
-        yield lines, np.lib.stride_tricks.sliding_window_view(chunk, w)[ends[lines] - w]
-
-
-def _epoch_seconds(rows: np.ndarray):
-    """Epoch seconds of rows of 1-18 ASCII digits, or None."""
-    digits = rows - _ZERO  # bytes below "0" wrap past 9
-    if not 1 <= rows.shape[1] <= _EPOCH_MAX_DIGITS or (digits > 9).any():
+def _iso_times(buf: np.ndarray) -> np.ndarray | None:
+    """Epoch seconds of lines of YYYY-MM-DDTHH:MM:SS that strptime takes, or None."""
+    if buf.size % _ISO_TEMPLATE.size:
         return None
-    return _digits_value(digits)
-
-
-def _iso_seconds(rows: np.ndarray):
-    """Epoch seconds of rows of YYYY-MM-DDTHH:MM:SS, or None.
-
-    A field out of its calendar range (year 0, month 13, Feb 30, hour 24,
-    second 60) rejects the rows, as strptime rejects the line.
-    """
-    digits = rows - _ISO_TEMPLATE
-    if (digits > _ISO_MAX).any():
-        return None
-    year, month, day, hour, minute, second = (
-        _digits_value(digits[:, a:b])
-        for a, b in ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
-    )
-    first = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
-    days = first.astype("datetime64[D]").astype(np.int64)
-    month_days = (first + 1).astype("datetime64[D]").astype(np.int64) - days
-    valid = (
-        (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-        & (day <= month_days) & (hour <= 23) & (minute <= 59) & (second <= 59)
-    )
-    if not valid.all():
-        return None
-    return (days + day - 1) * 86400 + hour * 3600 + minute * 60 + second
+    rows = buf.reshape(-1, _ISO_TEMPLATE.size)
+    times = np.empty(rows.shape[0], dtype="datetime64[s]")
+    step = _PARSE_BATCH_BYTES // _ISO_TEMPLATE.size
+    for start in range(0, rows.shape[0], step):
+        batch = rows[start : start + step]
+        if ((batch - _ISO_TEMPLATE) > _ISO_MAX).any():
+            return None
+        stamps = np.ascontiguousarray(batch[:, :-1]).view("S19")
+        try:  # numpy rejects a field out of its calendar range, as strptime does
+            times[start : start + step] = stamps[:, 0]
+        except ValueError:
+            return None
+    # numpy also takes year 0, which strptime rejects
+    return None if times.min() < np.datetime64("0001-01-01") else times.view(np.int64)
 
 
 def _vectorized_times(text: str) -> np.ndarray | None:
-    """Times of a log whose every line is plain epoch digits or an ISO
-    datetime, parsed from its bytes; None for any other log.
+    """Times of a log of plain epoch lines or of ISO lines, parsed by numpy;
+    None for any other log, a mixed one too.
 
     It takes only ASCII text whose lines end in a line feed and hold no
-    space, sign, comment or blank line; anything else is left to the
-    per-line parser, which accepts the same lines with the same times. Bytes
-    are parsed in batches of whole lines, so temporaries stay O(batch).
+    space, sign, comment or blank line. The per-line parser reads every
+    other log, with the same times for the lines this takes. Bytes are
+    checked in batches: temporaries are O(batch) beyond the copy and output.
     """
-    if not text or not text.isascii():
+    if not text.isascii():
         return None
     data = text.encode("ascii")
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
-    times = np.empty(data.count(b"\n"), dtype=np.int64)
-    start = done = 0
+    if data.index(b"\n") == _ISO_TEMPLATE.size - 1:  # the first line picks
+        return _iso_times(buf)
+    # Lines of 1-18 digits. Unchecked, np.fromstring would take signs, spaces
+    # and blank lines, and clamp 19 digits to 2**63 - 1.
+    start = lines = 0
     while start < buf.size:
         chunk = buf[start : start + _PARSE_BATCH_BYTES]
         ends = np.flatnonzero(chunk == _NEWLINE)
         if not ends.size:
             return None  # a line longer than a batch
-        for lines, rows in _rows_by_width(chunk, ends):
-            if rows.shape[1] == _ISO_TEMPLATE.size:
-                part = _iso_seconds(rows)
-            else:
-                part = _epoch_seconds(rows)
-            if part is None:
-                return None
-            times[done : done + ends.size][lines] = part
-        start += ends[-1] + 1
-        done += ends.size
-    return times
+        chunk = chunk[: ends[-1] + 1]
+        width = np.diff(ends, prepend=-1) - 1
+        if width.min() < 1 or width.max() > _EPOCH_MAX_DIGITS:
+            return None
+        if np.count_nonzero((chunk - _ZERO) > 9) != ends.size:  # "\n" wraps too
+            return None
+        start += chunk.size
+        lines += ends.size
+    return np.fromstring(data, dtype=np.int64, count=lines, sep="\n")
 
 
 def parse_stream(text: str) -> EventStream:
@@ -263,6 +230,8 @@ def downsample(
         raise InvalidConfigError(
             f"group_max must be >= group_min, got {group_min}..{group_max}"
         )
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
     if arrivals.n == 0:
         raise InsufficientDataError("cannot downsample an empty sequence")
 

@@ -36,6 +36,12 @@ def _check_m(m: int) -> None:
         raise InvalidConfigError(f"need 2 <= m <= {MAX_EVENTS} events, got {m}")
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _stream_from_gaps(gaps: np.ndarray) -> EventStream:
     """Round gaps to whole seconds and accumulate them from time 0."""
     rounded = np.rint(gaps)
@@ -55,7 +61,7 @@ def gen_poisson(mean_gap: float, m: int, seed: int) -> EventStream:
             f"mean_gap must be finite and positive, got {mean_gap}"
         )
     _check_m(m)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return _stream_from_gaps(rng.exponential(mean_gap, m - 1))
 
 
@@ -94,7 +100,7 @@ def gen_cluster(
         raise InvalidConfigError(f"idle_run must be >= 1, got {idle_run}")
     _check_m(m)
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     gaps_per_cycle = (burst_mean - 1.0) + idle_run
     n_cycles = int(np.ceil(1.5 * m / gaps_per_cycle)) + 16
     draw = n_cycles * gaps_per_cycle
@@ -107,8 +113,6 @@ def gen_cluster(
     gaps = np.empty(0)
     while gaps.size < m - 1:
         n_intra = rng.geometric(1.0 / burst_mean, n_cycles) - 1
-        if burst_mean == 1.0:
-            n_intra = np.zeros(n_cycles, dtype=np.int64)
         n_idle = rng.geometric(1.0 / idle_run, n_cycles)
         intra_vals = rng.exponential(intra_gap, int(n_intra.sum()))
         idle_vals = rng.exponential(trigger_gap, int(n_idle.sum()))
@@ -159,7 +163,7 @@ def inject_periodic(
     if not 0 <= count <= MAX_EVENTS:
         raise InvalidConfigError(f"need 0 <= count <= {MAX_EVENTS}, got {count}")
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if start is None:
         start = float(base.times[0]) + float(rng.uniform(0, period))
     if count == 0:
@@ -184,10 +188,8 @@ def inject_periodic(
 
 def labels_to_csv(stream: EventStream, labels: np.ndarray) -> str:
     """Sidecar CSV pairing each event time with its label."""
-    lines = ["time,label"]
-    for t, lab in zip(stream.times, labels):
-        lines.append(f"{t},{lab}")
-    return "\n".join(lines) + "\n"
+    pairs = zip(stream.times.tolist(), labels.tolist())
+    return "time,label\n" + "".join([f"{t},{label}\n" for t, label in pairs])
 
 
 @dataclass(frozen=True)

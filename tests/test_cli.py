@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from renewalstream.cli import SETTINGS, main
 from renewalstream.ingest import parse_stream
 from renewalstream.synth import gen_poisson, inject_periodic
+from test_ingest import logs
 
 
 def write_stream(path, stream):
@@ -461,6 +462,32 @@ class TestSimulate:
         assert main(["simulate", "--m", "50", "--seed", "3", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize(
+    "args, env_seed, config, seed",
+    [
+        (["simulate", "--seed", "-1"], None, None, -1),
+        (["downsample", "{LOG}", "--downsample", "2:3", "--seed=-1"], None, None, -1),
+        (["simulate"], "-3", None, -3),
+        (["simulate"], None, {"seed": -2}, -2),
+    ],
+)
+def test_negative_seed_is_named_with_its_value(
+    tmp_path, monkeypatch, poisson_log, capsys, args, env_seed, config, seed
+):
+    out = tmp_path / "out.log"
+    argv = [a.format(LOG=poisson_log) for a in args] + ["--out", str(out)]
+    if env_seed is not None:
+        monkeypatch.setenv("RS_SEED", env_seed)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: seed must be >= 0, got {seed}"
+    ]
+    assert not out.exists()
+
+
 class TestDownsample:
     def test_preserves_span_and_shrinks(self, tmp_path, poisson_log):
         out = tmp_path / "down.log"
@@ -509,8 +536,9 @@ def test_console_entrypoint_runs():
 FUZZ_COMMANDS = ["analyze", "detect", "characterize", "simulate", "downsample"]
 JUNK_KEYS = ["kk", "n_subs", "input", "out", "config", "labels", "kind", "seed"]
 # No "/" or "." in drawn text, so an out_dir drawn as text stays below the
-# run directory. simulate draws numbers up to 50 only: gen_cluster allocates
-# about 17 * burst_mean floats, and neither it nor --m has a bound yet.
+# run directory. simulate draws numbers up to 50 only: --m and gen_cluster's
+# draw are bounded by MAX_EVENTS, but a draw near those bounds allocates
+# hundreds of MB and takes seconds.
 TEXT = st.text(alphabet="ab19-_ :,eEé\x00", max_size=6)
 SPECIALS = [0.0, -1.0, 1e-9, math.nan]
 BIG_SPECIALS = [1e300, math.inf, -math.inf]
@@ -574,6 +602,25 @@ def fuzz_dir(tmp_path_factory):
     return path
 
 
+def _run_in(directory, argv):
+    """main's exit code and stderr for a run in directory, stdout dropped."""
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, err.getvalue()
+
+
+def _assert_one_outcome(command, code, err):
+    assert code in ((0, 1, 2) if command == "detect" else (0, 1))
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(error_lines) <= 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(invocation=_invocations())
 def test_any_settings_end_in_an_exit_code_and_at_most_one_error_line(
@@ -589,14 +636,34 @@ def test_any_settings_end_in_an_exit_code_and_at_most_one_error_line(
     if config is not None:
         (fuzz_dir / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
         argv += ["--config", "cfg.json"]
-    err = io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(fuzz_dir)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv + flags)
-    finally:
-        os.chdir(cwd)
-    assert code in ((0, 1, 2) if command == "detect" else (0, 1))
-    error_lines = [line for line in err.getvalue().splitlines() if "error:" in line]
-    assert len(error_lines) <= 1
+    _assert_one_outcome(command, *_run_in(fuzz_dir, argv + flags))
+
+
+# analyze writes one CSV row per grid bin for each of three curves. Under the
+# searched width, a few far-apart 10-digit epochs give millions of bins and
+# about 25 s a run, so analyze takes a fixed width here; characterize runs
+# the same estimate and the width search without writing the curves.
+LOG_COMMANDS = [
+    ["analyze", "in.log", "--delta", "86400"],
+    ["characterize", "in.log"],
+    ["detect", "in.log"],
+    ["downsample", "in.log", "--downsample", "1:3", "--out", "down.log"],
+]
+log_bytes = logs().map(lambda text: text.encode("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def log_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("log-fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.one_of(log_bytes, log_bytes, log_bytes, st.binary(max_size=60)),
+    argv=st.sampled_from(LOG_COMMANDS),
+)
+def test_any_log_text_ends_in_an_exit_code_and_at_most_one_error_line(
+    log_fuzz_dir, data, argv
+):
+    (log_fuzz_dir / "in.log").write_bytes(data)
+    _assert_one_outcome(argv[0], *_run_in(log_fuzz_dir, argv))

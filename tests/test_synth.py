@@ -183,6 +183,22 @@ class TestInjectPeriodic:
             inject_periodic(base, 10.0, count=10**12)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: gen_poisson(2.0, 100, seed=seed),
+        lambda seed: gen_cluster(5.0, 3.0, 1.0, 100, seed=seed),
+        lambda seed: inject_periodic(gen_poisson(2.0, 100, seed=1), 10.0, count=5,
+                                     seed=seed),
+        lambda seed: GeneratorSpec(kind="periodic", m=100, seed=seed).generate(),
+    ],
+)
+def test_negative_seed_rejected_naming_it(make):
+    with pytest.raises(InvalidConfigError, match=r"^seed must be >= 0, got -1$"):
+        make(-1)
+    make(0)
+
+
 class TestGeneratorSpec:
     def test_round_trips_through_ingest_format(self):
         for kind in ("poisson", "cluster", "periodic"):
@@ -195,6 +211,13 @@ class TestGeneratorSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidConfigError):
             GeneratorSpec(kind="weird", m=10, seed=0).generate()
+
+    def test_labels_csv_matches_per_element_loop(self):
+        stream, labels = GeneratorSpec(kind="periodic", m=2000, seed=4).generate()
+        lines = ["time,label"]  # the loop labels_to_csv replaced: numpy scalars
+        for t, label in zip(stream.times, labels):
+            lines.append(f"{t},{label}")
+        assert labels_to_csv(stream, labels) == "\n".join(lines) + "\n"
 
     def test_labels_csv(self):
         spec = GeneratorSpec(kind="poisson", m=3, seed=1, mean_gap=5.0)
