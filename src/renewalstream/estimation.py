@@ -297,7 +297,7 @@ def empirical_rd(
 def first_order_pdf(
     arrivals: InterArrivals, bin_width: float, t_max: float
 ) -> Density:
-    """Normalized histogram of the raw inter-arrival values."""
+    """Histogram of the raw inter-arrival values, each bin a share of all gaps."""
     hist = build_histogram(arrivals.values, bin_width, t_max)
     return normalize(hist)
 
@@ -351,8 +351,8 @@ def convolution_rd(
     """Sum of the 1..k fold self-convolutions of the first-order density.
 
     Every term is truncated to the grid of f1. Truncation is exact for the
-    in-grid bins: a partial sum below t_max can only be built from gaps below
-    t_max, so dropping out-of-grid mass never changes in-grid values.
+    in-grid bins: a partial sum below t_max is built only from gaps below
+    t_max, and f1 holds their share of all gaps whatever the grid's length.
     """
     if k < 1:
         raise InvalidConfigError(f"max order must be >= 1, got {k}")
@@ -392,8 +392,8 @@ def empirical_grid_end(
     """
     top = table.order(table.k)
     end = float(np.quantile(top, quantile))
-    n_bins = max(1, int(np.floor(end / bin_width)))
-    return n_bins * bin_width
+    # no int(): bin_count rejects an end past the grid budget, infinite too
+    return float(max(1.0, np.floor(end / bin_width)) * bin_width)
 
 
 def convolution_grid_end(
@@ -402,9 +402,9 @@ def convolution_grid_end(
     bin_width: float,
     factor: float = DEFAULT_CONV_SPAN_FACTOR,
 ) -> float:
-    """Grid end for the convolution estimate: factor * k * mean gap."""
-    end = max(factor * k * arrivals.mean, float(arrivals.values.max()) + bin_width)
-    return max(1, int(np.ceil(end / bin_width))) * bin_width
+    """Grid end for the convolution estimate: factor * k * mean gap in whole
+    bins. f1 is a share of all gaps, so the grid need not reach the largest."""
+    return float(max(1.0, np.ceil(factor * k * arrivals.mean / bin_width)) * bin_width)
 
 
 def estimate_stream(

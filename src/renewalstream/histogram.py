@@ -79,33 +79,35 @@ def bin_count(t_max: float, bin_width: float, origin: float) -> int:
     return max(n, 1)
 
 
-def build_histogram(samples, bin_width: float, t_max: float) -> Histogram:
-    """Bin samples on [0, t_max); out-of-range samples count as overflow.
-
-    A sample x lands in bin floor(x / bin_width); values exactly on a
-    boundary go to the right bin.
-    """
+def _bin_indices(samples: np.ndarray, bin_width: float, t_max: float):
+    """Bin index floor(x / bin_width) of each sample (a boundary value goes
+    right), whether the sample lies on the grid [0, t_max), and the bin count."""
     if t_max <= 0:
         raise InvalidConfigError(f"t_max must be positive, got {t_max}")
-
-    samples = np.asarray(samples, dtype=np.float64)
     n_bins = bin_count(t_max, bin_width, 0.0)
     idx = np.floor(samples / bin_width).astype(np.int64)
     in_range = (samples >= 0) & (samples < t_max) & (idx >= 0) & (idx < n_bins)
-    counts = np.bincount(idx[in_range], minlength=n_bins)
+    return idx, in_range, n_bins
+
+
+def build_histogram(samples, bin_width: float, t_max: float) -> Histogram:
+    """Bin samples on [0, t_max); out-of-range samples count as overflow."""
+    samples = np.asarray(samples, dtype=np.float64)
+    idx, in_range, n_bins = _bin_indices(samples, bin_width, t_max)
     return Histogram(
         bin_width=bin_width,
-        counts=counts,
+        counts=np.bincount(idx[in_range], minlength=n_bins),
         overflow=int(samples.size - in_range.sum()),
     )
 
 
-def shimazaki_cost(hist: Histogram) -> float:
-    """Cost (2*kbar - v) / width**2 with biased (1/N) variance of the counts."""
-    counts = hist.counts.astype(np.float64)
-    kbar = counts.mean()
-    v = np.mean((kbar - counts) ** 2)
-    return float((2.0 * kbar - v) / hist.bin_width**2)
+def shimazaki_cost(counts, n_bins: int, bin_width: float) -> float:
+    """Cost (2*kbar - v) / width**2 over n_bins bins, v the biased variance;
+    counts may list only the non-empty bins, as each empty one adds kbar**2."""
+    counts = np.asarray(counts, dtype=np.float64)
+    kbar = counts.sum() / n_bins
+    v = (np.sum((kbar - counts) ** 2) + (n_bins - counts.size) * kbar**2) / n_bins
+    return float((2.0 * kbar - v) / bin_width**2)
 
 
 def default_width_grid(samples, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -128,30 +130,32 @@ def default_width_grid(samples, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
 def optimal_bin_width(samples, candidates=None) -> float:
     """Candidate width minimizing the count-statistics cost; ties go small.
 
-    Each candidate is evaluated on a grid that covers every sample, so no
-    data is dropped during the search; a candidate whose grid would reach
+    Each candidate's grid covers every sample; one whose grid would reach
     MAX_GRID_BINS is skipped (one very long gap must not end the search).
+    The distinct samples ascend, so a non-empty bin is one run of them.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < 2:
         raise InvalidConfigError("bin-width selection needs at least 2 samples")
+    values, multiplicity = np.unique(samples, return_counts=True)
     if candidates is None:
-        candidates = default_width_grid(samples)
+        candidates = default_width_grid(values)
     candidates = np.asarray(candidates, dtype=np.float64)
     if candidates.size == 0:
         raise InvalidConfigError("empty candidate grid")
     if np.any(candidates <= 0):
         raise InvalidConfigError("candidate widths must be positive")
 
-    top = float(samples.max())
+    top = float(values[-1])
     best_width = None
     best_cost = np.inf
     for width in np.sort(candidates):
         n_bins = np.floor(top / width) + 1.0
         if n_bins >= MAX_GRID_BINS:
             continue
-        t_max = n_bins * width
-        cost = shimazaki_cost(build_histogram(samples, width, t_max))
+        idx, on, n_bins = _bin_indices(values, width, n_bins * width)
+        starts = np.flatnonzero(np.diff(idx[on], prepend=-1))
+        cost = shimazaki_cost(np.add.reduceat(multiplicity[on], starts), n_bins, width)
         if cost < best_cost:
             best_cost = cost
             best_width = float(width)
@@ -163,11 +167,11 @@ def optimal_bin_width(samples, candidates=None) -> float:
 
 
 def normalize(hist: Histogram) -> Density:
-    """Convert counts to masses summing to 1 over the in-range bins."""
-    total = hist.total
-    if total < 1:
+    """Convert counts to masses: each bin's share of all samples, overflow too."""
+    if hist.total < 1:
         raise EmptyDensityError("histogram holds no in-range samples")
-    return Density(bin_width=hist.bin_width, values=hist.counts / float(total))
+    share = hist.counts / float(hist.total + hist.overflow)
+    return Density(bin_width=hist.bin_width, values=share)
 
 
 def bins_to_csv(header: str, bin_width: float, *columns) -> str:

@@ -62,7 +62,9 @@ class TestAnalyze:
 
 
 @pytest.mark.parametrize("command", ["analyze", "detect"])
-@pytest.mark.parametrize("delta", ["0", "1e-9", "nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "delta", ["0", "1e-9", "nan", "inf", "-1", "1e-308", "5e-324"]
+)
 def test_bad_bin_width_fails_with_one_error_line(
     tmp_path, poisson_log, capsys, command, delta
 ):
@@ -540,7 +542,7 @@ JUNK_KEYS = ["kk", "n_subs", "input", "out", "config", "labels", "kind", "seed"]
 # draw are bounded by MAX_EVENTS, but a draw near those bounds allocates
 # hundreds of MB and takes seconds.
 TEXT = st.text(alphabet="ab19-_ :,eEé\x00", max_size=6)
-SPECIALS = [0.0, -1.0, 1e-9, math.nan]
+SPECIALS = [0.0, -1.0, 1e-9, 5e-324, math.nan]
 BIG_SPECIALS = [1e300, math.inf, -math.inf]
 
 

@@ -18,6 +18,7 @@ from renewalstream.estimation import (
     _lag_histogram_fft,
     _pair_counts,
     RenewalDensityEstimate,
+    convolution_grid_end,
     convolution_rd,
     empirical_grid_end,
     empirical_rd,
@@ -25,7 +26,7 @@ from renewalstream.estimation import (
     first_order_pdf,
     partial_sums,
 )
-from renewalstream.histogram import Density, bin_count
+from renewalstream.histogram import Density, bin_count, build_histogram
 from renewalstream.ingest import EventStream, InterArrivals, inter_arrivals
 from renewalstream.synth import gen_cluster, gen_poisson, inject_periodic
 
@@ -405,7 +406,58 @@ class TestFirstOrderPdf:
         assert density.values.sum() == pytest.approx(1.0)
 
 
+def long_grid_convolution(arrivals, k, width):
+    """r'(t) on a grid that reaches past the largest gap, with f1 normalized
+    by the gaps on the grid: every gap, so no gap's share depends on where
+    the grid ends."""
+    end = max(1.5 * k * arrivals.mean, float(arrivals.values.max()) + width)
+    n_bins = max(1, int(np.ceil(end / width)))
+    hist = build_histogram(arrivals.values, width, n_bins * width)
+    return convolution_rd(Density(width, hist.counts / hist.total), k)
+
+
+def one_long_gap_stream():
+    times = gen_poisson(10_000.0, 300, seed=3).times.astype(np.int64)
+    times[150:] += 20_000_000
+    return EventStream(times)
+
+
+SHORT_GRID_STREAMS = {
+    "poisson": lambda: gen_poisson(10.0, 3000, seed=5),
+    "cluster": lambda: gen_cluster(10.0, 3.0, 1.0, 3000, seed=6),
+    "one_long_gap": one_long_gap_stream,
+}
+
+
 class TestConvolutionRd:
+    @pytest.mark.parametrize(
+        "name, k, width, direct",
+        [
+            ("poisson", 2, 1.0, True),
+            ("poisson", 3, 0.01, False),
+            ("cluster", 2, 1.0, True),
+            ("cluster", 5, 0.01, False),
+            ("one_long_gap", 2, 10_000.0, True),
+            ("one_long_gap", 5, 100.0, False),
+        ],
+    )
+    def test_short_grid_is_start_of_long_grid(self, name, k, width, direct):
+        # the largest gap lies past the short grid, so f1 is a share of all
+        # gaps there and r'(t) is the in-grid part of the long-grid estimate
+        arrivals = inter_arrivals(SHORT_GRID_STREAMS[name]())
+        end = convolution_grid_end(arrivals, k, width)
+        short = convolution_rd(first_order_pdf(arrivals, width, end), k)
+        long = long_grid_convolution(arrivals, k, width)
+        assert short.n_bins < long.n_bins
+        assert short.n_bins == np.ceil(1.5 * k * arrivals.mean / width)
+        head = long.values[: short.n_bins]
+        if direct:
+            assert long.n_bins <= _DIRECT_CONV_LIMIT
+            assert short.values.tolist() == head.tolist()
+        else:
+            assert short.n_bins > _DIRECT_CONV_LIMIT
+            assert np.max(np.abs(short.values - head)) <= 1e-12 * long.values.max()
+
     def test_delta_spikes_at_multiples(self):
         f1 = Density(1.0, np.zeros(16))
         f1.values[4] = 1.0
@@ -494,11 +546,17 @@ class TestEstimateStream:
     def test_one_very_long_gap_still_estimated(self):
         # a 2e7 s gap: width 1 s would need more than MAX_GRID_BINS bins to
         # cover it, so the width search skips that candidate
-        times = gen_poisson(10_000.0, 300, seed=3).times.astype(np.int64)
-        times[150:] += 20_000_000
-        emp, conv = estimate_stream(EventStream(times))
+        stream = one_long_gap_stream()
+        emp, conv = estimate_stream(stream)
         assert emp.bin_width > 1.0
-        assert conv.t_max > 20_000_000
+        # the convolution grid ends at 1.5 k mean gaps; the 2e7 s gap is
+        # off it and counts as overflow, so f1 holds the other gaps' share
+        arrivals = inter_arrivals(stream)
+        width = conv.bin_width
+        assert conv.n_bins == np.ceil(1.5 * conv.k * arrivals.mean / width)
+        f1 = first_order_pdf(arrivals, width, conv.t_max)
+        n = arrivals.n
+        assert f1.values.sum() == pytest.approx((n - 1) / n, rel=1e-12)
         assert np.all(np.isfinite(emp.values)) and emp.values.max() > 0
         assert np.all(np.isfinite(conv.values)) and conv.values.max() > 0
 

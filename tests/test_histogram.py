@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from renewalstream.errors import EmptyDensityError, InvalidConfigError
 from renewalstream.histogram import (
+    MAX_GRID_BINS,
     Histogram,
     bins_to_csv,
     build_histogram,
@@ -65,12 +68,17 @@ class TestBuildHistogram:
         assert np.all(hist.counts >= 0)
 
 
+def histogram_cost(hist):
+    """The cost of a dense histogram, every bin listed."""
+    return shimazaki_cost(hist.counts, hist.n_bins, hist.bin_width)
+
+
 class TestShimazakiCost:
     def test_constant_counts(self):
-        assert shimazaki_cost(Histogram(1.0, [2, 2, 2])) == pytest.approx(4.0)
+        assert histogram_cost(Histogram(1.0, [2, 2, 2])) == pytest.approx(4.0)
 
     def test_high_variance_cancels(self):
-        assert shimazaki_cost(Histogram(2.0, [0, 4])) == pytest.approx(0.0)
+        assert histogram_cost(Histogram(2.0, [0, 4])) == pytest.approx(0.0)
 
     @given(
         c=st.integers(min_value=0, max_value=50),
@@ -78,20 +86,89 @@ class TestShimazakiCost:
         width=st.floats(min_value=0.1, max_value=10),
     )
     def test_constant_histogram_closed_form(self, c, n, width):
-        cost = shimazaki_cost(Histogram(width, [c] * n))
+        cost = histogram_cost(Histogram(width, [c] * n))
         assert cost == pytest.approx(2 * c / width**2)
 
     @given(
         counts=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=50)
     )
     def test_matches_two_pass_computation(self, counts):
-        got = shimazaki_cost(Histogram(1.0, counts))
+        got = histogram_cost(Histogram(1.0, counts))
         mean = sum(counts) / len(counts)
         var = sum((mean - c) ** 2 for c in counts) / len(counts)
         assert got == pytest.approx(2 * mean - var, rel=1e-12, abs=1e-12)
 
+    @given(
+        counts=st.lists(st.integers(0, 100), min_size=1, max_size=50),
+        width=st.floats(min_value=0.1, max_value=10),
+    )
+    def test_empty_bins_may_be_left_out(self, counts, width):
+        dense = histogram_cost(Histogram(width, counts))
+        nonempty = [c for c in counts if c > 0]
+        got = shimazaki_cost(nonempty, len(counts), width)
+        assert got == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def width_search_inputs(draw):
+    """Integer gaps with runs of zeros, maybe one huge gap, maybe negative
+    and float samples; the default candidate grid or an explicit one.
+
+    Drawn floats and explicit widths are multiples of 1/8, so each x / width
+    and each bin edge of brute_force_cost is exact and both bin a sample the
+    same way. The width 2**-30 always needs more than MAX_GRID_BINS bins.
+    """
+    runs = st.tuples(st.integers(1, 60), st.integers(0, 6))
+    samples = [
+        x
+        for gap, zeros in draw(st.lists(runs, min_size=2, max_size=40))
+        for x in [gap] + [0] * zeros
+    ]
+    if draw(st.booleans()):
+        samples.append(draw(st.integers(1_000, 10_000)))
+    if draw(st.booleans()):
+        eighths = st.integers(-400, 800).map(lambda i: i / 8)
+        samples += draw(st.lists(eighths, min_size=1, max_size=20))
+    samples = np.asarray(draw(st.permutations(samples)), dtype=np.float64)
+    candidates = None
+    if draw(st.booleans()):
+        widths = st.one_of(st.just(2.0**-30), st.integers(1, 400).map(lambda i: i / 8))
+        candidates = draw(st.lists(widths, min_size=1, max_size=10))
+    return samples, candidates
+
 
 class TestOptimalBinWidth:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=width_search_inputs())
+    def test_matches_dense_brute_force(self, inputs):
+        samples, candidates = inputs
+        grid = default_width_grid(samples) if candidates is None else candidates
+        top = samples.max()
+        kept = [w for w in np.sort(grid) if np.floor(top / w) + 1 < MAX_GRID_BINS]
+        if not kept:
+            with pytest.raises(InvalidConfigError, match="every candidate"):
+                optimal_bin_width(samples, candidates)
+            return
+        costs = [brute_force_cost(samples, w) for w in kept]
+        want = kept[int(np.argmin(costs))]
+        got = optimal_bin_width(samples, candidates)
+        if got != want:
+            # only a near-tie that the two summation orders split
+            best = min(costs)
+            assert abs(costs[kept.index(got)] - best) <= 1e-12 * abs(best)
+
+    def test_search_on_one_huge_gap_allocates_no_grid(self):
+        # gaps of the log 0, 5, 6, 999999999999999999: covering the last
+        # gap takes up to 2**24 bins per candidate width
+        gaps = np.diff([0, 5, 6, 999_999_999_999_999_999])
+        tracemalloc.start()
+        try:
+            optimal_bin_width(gaps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_single_candidate(self):
         assert optimal_bin_width([1.0, 2.0, 5.0], [0.7]) == 0.7
 
