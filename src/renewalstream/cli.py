@@ -22,7 +22,7 @@ from .characterization import (
     DEFAULT_THRESHOLDS, ZoneThresholds, characterize, difference
 )
 from .detection import MIN_CONVERGED_EVENTS, DetectionConfig, detect
-from .errors import InsufficientDataError, InvalidConfigError, StreamAnalysisError
+from .errors import InvalidConfigError, StreamAnalysisError
 from .estimation import EstimationConfig, estimate_stream
 from .ingest import (
     EventStream,
@@ -233,18 +233,9 @@ def _cmd_detect(args, settings: dict) -> int:
         stream, _build(EstimationConfig, settings), convolution=False
     )
     config = _build(DetectionConfig, settings)
-    # short grids (tiny inputs) still get a report: cap the sub-density
-    # count so every sub-density keeps at least 2 bins
-    max_sub = estimate.n_bins // 2
-    if max_sub < 1:
-        raise InsufficientDataError(
-            f"detection needs a grid of at least 2 bins, got {estimate.n_bins}; "
-            "use a smaller bin width"
-        )
-    if config.n_sub > max_sub:
-        _warn(f"reducing n_sub from {config.n_sub} to {max_sub} for a short grid")
-        config.n_sub = max_sub
     report = detect(estimate, config)
+    if report.n_sub < config.n_sub:
+        _warn(f"reducing n_sub from {config.n_sub} to {report.n_sub} for a short grid")
     text = report.to_json()
     print(text)
     if "out_dir" in settings:

@@ -322,24 +322,38 @@ def detect(
 ) -> DetectionReport:
     """Run the full detection pipeline on one density estimate.
 
-    The sub-densities are scored together as the rows of one matrix; each
-    row gets the bits the one-row calls give it.
+    The bins left after the origin bin is dropped make min(config.n_sub,
+    bins // 2) sub-densities (report.n_sub), scored together as the rows
+    of one matrix; each row gets the bits the one-row calls give it.
     """
     config = config or DetectionConfig()
     config.validate()
 
     values = np.asarray(estimate.values, dtype=np.float64)
-    if config.exclude_origin_bin and values.size > 1:
-        values = values[1:]
+    origin = int(config.exclude_origin_bin and values.size > 1)
+    values = values[origin:]
+    if values.size < 2:
+        after = " after the origin bin" if origin else ""
+        raise InsufficientDataError(
+            f"detection needs a grid of at least 2 bins, got {values.size}{after}; "
+            "use a smaller bin width"
+        )
     normalized = normalize_rd(replace(estimate, values=values))
-    blocks, dropped = split_subdensities(normalized, config.n_sub)
+    n_sub = min(config.n_sub, values.size // 2)
+    blocks, dropped = split_subdensities(normalized, n_sub)
     n_bins = blocks.shape[1]
 
-    half_window = (
-        config.half_window if config.half_window is not None else max(1, n_bins // 2)
-    )
+    half_window = config.half_window or max(1, n_bins // 2)  # validated: None or >= 1
     smoothed = trimmed_mean_smooth(blocks, half_window, config.trim_fraction)
-    chi2 = chi_square_stat(blocks, smoothed)
+    try:
+        chi2 = chi_square_stat(blocks, smoothed)
+    except DegenerateBinError:
+        row = np.flatnonzero(((smoothed == 0) & (blocks != 0)).any(axis=1))[0]
+        lags = (origin + n_bins * (row + np.arange(2))) * estimate.bin_width
+        raise DegenerateBinError(
+            f"baseline is zero where the density is not in sub-density {row} "
+            f"(lags {lags[0]:.10g}-{lags[1]:.10g} s); use a wider bin width (--delta)"
+        ) from None
     p = chi_square_cdf(chi2, n_bins)
     flag = p > 1.0 - config.p_fa
     subs = [
@@ -347,7 +361,7 @@ def detect(
         for i, (c, q, f) in enumerate(zip(chi2.tolist(), p.tolist(), flag.tolist()))
     ]
     return DetectionReport(
-        n_sub=config.n_sub,
+        n_sub=n_sub,
         n_bins=n_bins,
         p_fa=config.p_fa,
         subs=subs,

@@ -166,14 +166,9 @@ def inject_periodic(
     rng = _rng(seed)
     if start is None:
         start = float(base.times[0]) + float(rng.uniform(0, period))
-    if count == 0:
-        return EventStream(base.times.copy()), np.asarray(
-            [LABEL_BACKGROUND] * base.m
-        )
-
     offsets = rng.uniform(-jitter, jitter, count)
     injected = np.rint(start + np.arange(count) * period + offsets)
-    reach = np.abs(injected).max()
+    reach = np.abs(injected).max(initial=0.0)
     if not reach < MAX_TIME:
         raise InvalidConfigError(
             f"the train would reach {reach:.3g} s, more than {MAX_TIME:.3g} s"
@@ -181,7 +176,7 @@ def inject_periodic(
     injected = injected.astype(np.int64)
 
     merged = np.concatenate([base.times, injected])
-    labels = np.asarray([LABEL_BACKGROUND] * base.m + [LABEL_INJECTED] * count)
+    labels = np.repeat([LABEL_BACKGROUND, LABEL_INJECTED], [base.m, count])
     order = np.argsort(merged, kind="stable")
     return EventStream(merged[order]), labels[order]
 
@@ -210,12 +205,12 @@ class GeneratorSpec:
     def generate(self) -> tuple[EventStream, np.ndarray]:
         if self.kind == "poisson":
             stream = gen_poisson(self.mean_gap, self.m, self.seed)
-            return stream, np.asarray([LABEL_BACKGROUND] * stream.m)
+            return stream, np.full(stream.m, LABEL_BACKGROUND)
         if self.kind == "cluster":
             stream = gen_cluster(
                 self.trigger_gap, self.burst_mean, self.intra_gap, self.m, self.seed
             )
-            return stream, np.asarray([LABEL_BACKGROUND] * stream.m)
+            return stream, np.full(stream.m, LABEL_BACKGROUND)
         if self.kind == "periodic":
             base = gen_poisson(self.mean_gap, self.m, self.seed)
             return inject_periodic(

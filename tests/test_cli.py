@@ -92,9 +92,38 @@ def test_one_bin_grid_still_scored(tmp_path, poisson_log, capsys, command, delta
 def test_detect_on_one_bin_grid_fails_with_one_error_line(
     poisson_log, capsys, delta
 ):
-    assert main(["detect", str(poisson_log), "--delta", delta]) == 1
-    err_lines = capsys.readouterr().err.splitlines()
-    assert len(err_lines) == 1 and err_lines[0].startswith("error:")
+    for origin in ([], ["--exclude-origin-bin"]):
+        assert main(["detect", str(poisson_log), "--delta", delta, *origin]) == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "delta, n_sub, sub_bins",
+    # grids of 10, 4 and 2 bins at k 20, one bin fewer without the origin
+    [("2", 4, 2), ("5", 1, 3), ("8", None, None)],
+)
+def test_detect_caps_n_sub_on_the_bins_left_after_the_origin_bin(
+    tmp_path, capsys, delta, n_sub, sub_bins
+):
+    path = tmp_path / "p6k.log"
+    write_stream(path, gen_poisson(2.0, 6000, seed=3))
+    argv = ["detect", str(path), "--k", "20", "--delta", delta, "--exclude-origin-bin"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if n_sub is None:
+        assert code == 1
+        assert captured.err.splitlines() == [
+            "error: detection needs a grid of at least 2 bins, got 1 after the "
+            "origin bin; use a smaller bin width"
+        ]
+    else:
+        assert code == 0
+        report = json.loads(captured.out)
+        assert (report["n_sub"], report["n_bins"]) == (n_sub, sub_bins)
+        assert captured.err.splitlines() == [
+            f"warning: reducing n_sub from 8 to {n_sub} for a short grid"
+        ]
 
 
 @pytest.mark.parametrize("command", ["analyze", "characterize", "detect"])

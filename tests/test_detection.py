@@ -418,6 +418,43 @@ class TestDetect:
         assert not report.detected
         assert all(s.chi2 == 0.0 for s in report.subs)
 
+    @pytest.mark.parametrize(
+        "size, exclude, expected",
+        [
+            (16, True, (7, 2, 1)),  # 15 bins left: 7 sub-densities of 2
+            (16, False, (8, 2, 0)),
+            (4, True, (1, 3, 0)),
+            (100, True, (8, 12, 3)),  # no cap
+        ],
+    )
+    def test_n_sub_capped_on_the_bins_after_the_origin_bin(
+        self, size, exclude, expected
+    ):
+        config = DetectionConfig(n_sub=8, exclude_origin_bin=exclude)
+        report = detect(make_estimate(np.ones(size)), config)
+        assert (report.n_sub, report.n_bins, report.dropped_bins) == expected
+        assert len(report.subs) == report.n_sub and config.n_sub == 8
+
+    @pytest.mark.parametrize(
+        "size, exclude, left",
+        [(2, True, "1 after the origin bin"), (1, True, "1"), (1, False, "1")],
+    )
+    def test_grid_under_two_bins_rejected(self, size, exclude, left):
+        config = DetectionConfig(exclude_origin_bin=exclude)
+        with pytest.raises(InsufficientDataError, match=f"got {left};"):
+            detect(make_estimate(np.ones(size)), config)
+
+    def test_degenerate_baseline_names_sub_density_and_lags(self):
+        # after the origin bin, sub-density 1 holds bins 5-8 of a 2 s grid:
+        # its lone non-zero bin has neighbours 0, 0, 0 and a zero baseline
+        values = [9.0, 1, 1, 1, 1, 0, 0, 3, 0]
+        config = DetectionConfig(n_sub=2, exclude_origin_bin=True)
+        with pytest.raises(
+            DegenerateBinError,
+            match=r"not in sub-density 1 \(lags 10-18 s\); use a wider bin width",
+        ):
+            detect(make_estimate(values, width=2.0), config)
+
     def test_dof_equals_sub_density_length(self):
         values = np.random.default_rng(3).random(100) + 1.0
         report = detect(make_estimate(values), DetectionConfig(n_sub=4))
