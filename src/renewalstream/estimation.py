@@ -190,27 +190,30 @@ def _beyond_lags(t: np.ndarray, k: int, start: np.ndarray, extra: np.ndarray):
 def _autocorrelation(t: np.ndarray, lmax: int) -> np.ndarray:
     """Event pairs a < b with t[b] - t[a] = L, for every lag L < lmax.
 
-    Overlap-save over the per-second count series c: each block x of B
-    seconds is correlated with the M = B + lmax - 1 seconds y that start
-    with it, in M-point FFTs, so no product wraps onto a lag below lmax.
-    The count series is built one batch of blocks at a time, so memory does
-    not grow with the span. Lag 0 counts same-second pairs, sum c(c-1)/2.
+    The per-second count series c is cut into blocks x_b of B >= lmax - 1
+    seconds (a power of two), each transformed once in 2B points. No lag
+    below lmax reaches past the next block, so the spectrum is the sum of
+    conj(X_b) (X_b + (-1)^f X_b+1), (-1)^f being a shift by B. Blocks are
+    counted a batch at a time, the last spectrum carried into the next
+    batch, so memory does not grow with the span. Lag 0 counts same-second
+    pairs, sum c(c-1)/2.
     """
-    m = 1 << (2 * lmax - 1).bit_length()
-    block = m - lmax + 1
-    per_batch = max(1, _FFT_BATCH_POINTS // m)
-    span = int(t[-1]) + 1
-    spectrum = np.zeros(m // 2 + 1, dtype=np.complex128)
-    for first in range(0, span, block * per_batch):
-        n_blocks = min(per_batch, -(-(span - first) // block))
-        length = (n_blocks - 1) * block + m
-        lo, hi = np.searchsorted(t, [first, first + length])
-        counts = np.bincount(t[lo:hi] - first, minlength=length).astype(np.float64)
-        y = np.lib.stride_tricks.sliding_window_view(counts, m)[::block]
-        x = y.copy()
-        x[:, block:] = 0.0
-        spectrum += (np.fft.rfft(x).conj() * np.fft.rfft(y)).sum(axis=0)
-    corr = np.rint(np.fft.irfft(spectrum, m)[:lmax]).astype(np.int64)
+    block = 1 << (lmax - 2).bit_length()
+    n_blocks = -(-(int(t[-1]) + 1) // block)
+    per_batch = min(n_blocks, max(1, _FFT_BATCH_POINTS // (2 * block)))
+    rows = np.zeros((per_batch, 2 * block))
+    power, cross, last = np.zeros((3, block + 1), dtype=np.complex128)
+    for first in range(0, n_blocks, per_batch):
+        n = min(per_batch, n_blocks - first)
+        lo, hi = np.searchsorted(t, [first * block, (first + n) * block])
+        counts = np.bincount(t[lo:hi] - first * block, minlength=n * block)
+        rows[:n, :block] = counts.reshape(n, block)
+        x = np.fft.rfft(rows[:n])
+        power += (x.conj() * x).sum(axis=0)
+        cross += last.conj() * x[0] + (x[:-1].conj() * x[1:]).sum(axis=0)
+        last = x[-1]
+    cross[1::2] *= -1.0
+    corr = np.rint(np.fft.irfft(power + cross, 2 * block)[:lmax]).astype(np.int64)
     corr[0] = (corr[0] - t.size) // 2
     return corr
 
@@ -223,13 +226,13 @@ def _lag_histogram_fft(t: np.ndarray, k: int, lmax: int, start, extra) -> np.nda
     path leaves out the pairs of order above k (few: the grid ends at a low
     quantile of the order-k sums), given by _beyond_order_k as start and
     extra, and the pairs that start in the last k events, which have no
-    full window.
+    full window: all pairs among the last k + 1 events.
     """
     tail = t[t.size - 1 - k :]
     return (
         _autocorrelation(t, lmax)
         - _bin_lags(_beyond_lags(t, k, start, extra), 1, lmax)
-        - _bin_lags((tail[j:] - tail[:-j] for j in range(1, k + 1)), 1, lmax)
+        - _autocorrelation(tail - tail[0], lmax)
     )
 
 
@@ -302,26 +305,6 @@ def first_order_pdf(
     return normalize(hist)
 
 
-def _convolve_truncated(a: np.ndarray, b: np.ndarray, n_bins: int) -> np.ndarray:
-    """First n_bins terms of the linear convolution a * b.
-
-    Short grids use np.convolve, which keeps exact products exact (a
-    lattice of spikes stays a lattice of exact ones); longer grids use an
-    rfft product sized to avoid wrap-around, clipped at 0 against
-    round-off.
-    """
-    if n_bins <= _DIRECT_CONV_LIMIT:
-        out = np.convolve(a, b)[:n_bins]
-    else:
-        size = 1 << (a.size + b.size - 2).bit_length()
-        out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
-        out = out[:n_bins]
-        np.maximum(out, 0.0, out=out)
-    if out.size < n_bins:
-        out = np.pad(out, (0, n_bins - out.size))
-    return out
-
-
 def _power_sum(f: np.ndarray, k: int) -> np.ndarray:
     """f + f^2 + ... + f^k under convolution, truncated to len(f) terms.
 
@@ -329,18 +312,33 @@ def _power_sum(f: np.ndarray, k: int) -> np.ndarray:
     powers and P_m = f^m: S_2m = S_m + P_m S_m, P_2m = P_m P_m and
     S_m+1 = S_m + P_m f. Truncation commutes with the products (no term
     below len(f) depends on a dropped one), so this is exact algebra in
-    O(log k) products.
+    O(log k) products. Short grids use np.convolve, which keeps exact
+    products exact (a lattice of spikes stays a lattice of exact ones).
+    Longer grids multiply rfft spectra sized to avoid wrap-around, each
+    operand transformed once per step and f once, and clip each product at
+    0 against round-off.
     """
     n_bins = f.size
+    size = 1 << (2 * n_bins - 2).bit_length()
+    direct = n_bins <= _DIRECT_CONV_LIMIT
+    spectrum = np.asarray if direct else lambda a: np.fft.rfft(a, size)
+
+    def product(a, b):
+        if direct:
+            return np.convolve(a, b)[:n_bins]
+        out = np.fft.irfft(a * b, size)[:n_bins]
+        return np.maximum(out, 0.0, out=out)
+
     total, power = f.copy(), f.copy()
+    f_spectrum = spectrum(f)
     bits = bin(k)[3:]
     for i, bit in enumerate(bits):
-        last = i == len(bits) - 1
-        total = total + _convolve_truncated(power, total, n_bins)
-        if bit == "1" or not last:
-            power = _convolve_truncated(power, power, n_bins)
+        p_spectrum = spectrum(power)
+        total = total + product(p_spectrum, spectrum(total))
+        if bit == "1" or i < len(bits) - 1:
+            power = product(p_spectrum, p_spectrum)
         if bit == "1":
-            power = _convolve_truncated(power, f, n_bins)
+            power = product(spectrum(power), f_spectrum)
             total = total + power
     return total
 

@@ -13,10 +13,12 @@ from renewalstream.errors import InsufficientDataError, InvalidConfigError
 from renewalstream.estimation import (
     _DIRECT_CONV_LIMIT,
     EstimationConfig,
+    _autocorrelation,
     _bin_lags,
     _beyond_order_k,
     _lag_histogram_fft,
     _pair_counts,
+    _power_sum,
     RenewalDensityEstimate,
     convolution_grid_end,
     convolution_rd,
@@ -76,8 +78,47 @@ def convolution_rd_loop(f1, k):
     return total / f1.bin_width
 
 
+def power_sum_per_product(f, k):
+    """Reference power sum: the same doubling, with both operands of every
+    product transformed anew (one truncated convolution per product)."""
+    n_bins = f.size
+
+    def convolve(a, b):
+        if n_bins <= _DIRECT_CONV_LIMIT:
+            return np.convolve(a, b)[:n_bins]
+        size = 1 << (a.size + b.size - 2).bit_length()
+        out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
+        out = out[:n_bins]
+        np.maximum(out, 0.0, out=out)
+        return out
+
+    total, power = f.copy(), f.copy()
+    bits = bin(k)[3:]
+    for i, bit in enumerate(bits):
+        total = total + convolve(power, total)
+        if bit == "1" or i < len(bits) - 1:
+            power = convolve(power, power)
+        if bit == "1":
+            power = convolve(power, f)
+            total = total + power
+    return total
+
+
 def offsets(gaps):
     return np.concatenate([[0], np.cumsum(gaps, dtype=np.int64)])
+
+
+def pairs_brute_force(t, lmax):
+    """Pairs a < b of the events at times t per lag t[b] - t[a] < lmax."""
+    lags = (t[None, :] - t[:, None])[np.triu_indices(t.size, 1)]
+    return np.bincount(lags[lags < lmax], minlength=lmax)
+
+
+def tail_pairs_chunked(t, k, lmax):
+    """Pairs that start in the last k events per lag below lmax, one lag
+    vector per order."""
+    tail = t[t.size - 1 - k :]
+    return _bin_lags((tail[j:] - tail[:-j] for j in range(1, k + 1)), 1, lmax)
 
 
 def lags_direct(t, k, lmax):
@@ -295,6 +336,34 @@ class TestLagHistograms:
         assert np.array_equal(lags_direct(t, k, lmax), expected)
         assert np.array_equal(lags_fft(t, k, lmax), expected)
 
+    # B is lmax - 1 rounded up to a power of two: at 2, 3, 5, 9, 17 and 1025
+    # the top lag reaches exactly one block on, at 1026 B doubles
+    @pytest.mark.parametrize("lmax", [1, 2, 3, 5, 9, 17, 1025, 1026])
+    @pytest.mark.parametrize("batch", [64, 256, None])
+    @pytest.mark.parametrize("end", [4095, 4096, 4097])
+    def test_autocorrelation_matches_brute_force(self, monkeypatch, lmax, batch, end):
+        # a span of several blocks and batches (both powers of two, so the
+        # last event lies on a block edge, just before or just after one),
+        # 30% same-second gaps and one burst of 40 events in one second
+        if batch is not None:
+            monkeypatch.setattr(estimation, "_FFT_BATCH_POINTS", batch)
+        rng = np.random.default_rng(lmax)
+        gaps = np.where(rng.random(1200) < 0.3, 0, rng.integers(1, 7, 1200))
+        gaps[600:640] = 0
+        t = offsets(gaps)
+        t = t[t < end]
+        t = np.append(t, end)
+        assert np.array_equal(_autocorrelation(t, lmax), pairs_brute_force(t, lmax))
+
+    @pytest.mark.parametrize("k", [1, 2, 30, 499])
+    @pytest.mark.parametrize("lmax", [1, 7, 60, 3000])
+    def test_tail_term_is_autocorrelation_of_last_events(self, k, lmax):
+        rng = np.random.default_rng(k)
+        t = offsets(np.where(rng.random(500) < 0.2, 0, rng.integers(1, 9, 500)))
+        tail = t[t.size - 1 - k :]
+        expected = tail_pairs_chunked(t, k, lmax)
+        assert np.array_equal(_autocorrelation(tail - tail[0], lmax), expected)
+
     @pytest.mark.parametrize(
         "name, expected",
         [("sparse-detect", "direct"), ("large", "fft"), ("bursty-iso", "fft")],
@@ -384,6 +453,24 @@ class TestLagHistograms:
             tracemalloc.stop()
         assert peak <= bound
 
+    def test_fft_path_peak_memory_does_not_grow_with_span(self):
+        # the same n, k and lmax with a quiet gap of 1e6 s inserted: the
+        # span (already a few batches) grows 12 times, and a count series
+        # held whole would add 8 MB; batches keep the peak where it was
+        gaps = np.random.default_rng(9).integers(0, 10, 20_000)
+        k, lmax = 1000, 500
+        peaks = []
+        for quiet in (0, 1_000_000):
+            t = offsets(np.concatenate([gaps[:10_000], [quiet], gaps[10_000:]]))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert _pair_counts(t, k, 1.0, lmax)[1]
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 65_536
+
 
 class TestFirstOrderPdf:
     def test_masses(self):
@@ -429,6 +516,18 @@ SHORT_GRID_STREAMS = {
 }
 
 
+DOUBLING_BINS = [300, _DIRECT_CONV_LIMIT + 900]  # np.convolve, then rfft
+DOUBLING_ORDERS = [1, 2, 3, 7, 64, 1000]
+
+
+def decaying_f1(n_bins):
+    """A geometric first-order density with 5% of its mass at lag 0."""
+    lattice = np.arange(n_bins)
+    values = np.exp(-lattice / (0.1 * n_bins))
+    values[0] = 0.05 * values.sum()  # same-second gaps: mass at lag 0
+    return Density(2.0, values / values.sum())
+
+
 class TestConvolutionRd:
     @pytest.mark.parametrize(
         "name, k, width, direct",
@@ -466,16 +565,21 @@ class TestConvolutionRd:
         expected[[4, 8, 12]] = 1.0
         assert est.values.tolist() == expected.tolist()
 
-    @pytest.mark.parametrize("n_bins", [300, _DIRECT_CONV_LIMIT + 900])
-    @pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 1000])
+    @pytest.mark.parametrize("n_bins", DOUBLING_BINS)
+    @pytest.mark.parametrize("k", DOUBLING_ORDERS)
     def test_doubling_matches_successive_convolutions(self, n_bins, k):
-        lattice = np.arange(n_bins)
-        values = np.exp(-lattice / (0.1 * n_bins))
-        values[0] = 0.05 * values.sum()  # same-second gaps: mass at lag 0
-        f1 = Density(2.0, values / values.sum())
+        f1 = decaying_f1(n_bins)
         est = convolution_rd(f1, k)
         expected = convolution_rd_loop(f1, k)
         assert np.max(np.abs(est.values - expected)) <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("n_bins", DOUBLING_BINS)
+    @pytest.mark.parametrize("k", DOUBLING_ORDERS)
+    def test_power_sum_bit_identical_to_one_call_per_product(self, n_bins, k):
+        # each operand transformed once per step gives the same bits as
+        # every product transforming both of its operands
+        f = decaying_f1(n_bins).values
+        assert _power_sum(f, k).tolist() == power_sum_per_product(f, k).tolist()
 
     def test_single_order_is_f1_over_width(self):
         f1 = Density(0.5, [0.2, 0.3, 0.5])
@@ -586,13 +690,17 @@ def test_estimate_csv_layout():
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy is a test-only dependency: the CLI must load none of it
+    # scipy is a test-only dependency: the CLI must load none of it. Nor
+    # may it load a numpy module that `import numpy` does not, such as
+    # numpy.fft, which the FFT paths load when they first run
     code = (
-        "import sys, renewalstream.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, numpy; before = set(sys.modules); import renewalstream.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.split('.')[0] == 'numpy'))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
