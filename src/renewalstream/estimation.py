@@ -37,9 +37,6 @@ DEFAULT_ORDER_FRACTION = 10
 DEFAULT_GRID_QUANTILE = 0.01
 DEFAULT_CONV_SPAN_FACTOR = 1.5
 
-# Above this output length, direct convolution is replaced by FFT.
-_DIRECT_CONV_LIMIT = 4096
-
 # The FFT path of r(t) costs O(span log lmax) and the direct path
 # O(k * n_windows); the measured crossover is about 15 pair lags per second
 # of span.
@@ -312,34 +309,30 @@ def _power_sum(f: np.ndarray, k: int) -> np.ndarray:
     powers and P_m = f^m: S_2m = S_m + P_m S_m, P_2m = P_m P_m and
     S_m+1 = S_m + P_m f. Truncation commutes with the products (no term
     below len(f) depends on a dropped one), so this is exact algebra in
-    O(log k) products. Short grids use np.convolve, which keeps exact
-    products exact (a lattice of spikes stays a lattice of exact ones).
-    Longer grids multiply rfft spectra sized to avoid wrap-around, each
-    operand transformed once per step and f once, and clip each product at
-    0 against round-off.
+    O(log k) products, each O(N log N) in the N = len(f) bins: rfft
+    spectra sized to avoid wrap-around, each operand transformed once per
+    step and f once. Each term added to the sum is clipped at 0 against
+    round-off. The powers are not: clipped round-off is biased upwards,
+    and every squaring would double the bias.
     """
     n_bins = f.size
     size = 1 << (2 * n_bins - 2).bit_length()
-    direct = n_bins <= _DIRECT_CONV_LIMIT
-    spectrum = np.asarray if direct else lambda a: np.fft.rfft(a, size)
 
     def product(a, b):
-        if direct:
-            return np.convolve(a, b)[:n_bins]
-        out = np.fft.irfft(a * b, size)[:n_bins]
-        return np.maximum(out, 0.0, out=out)
+        return np.fft.irfft(a * b, size)[:n_bins]
 
     total, power = f.copy(), f.copy()
-    f_spectrum = spectrum(f)
+    f_spectrum = np.fft.rfft(f, size)
     bits = bin(k)[3:]
     for i, bit in enumerate(bits):
-        p_spectrum = spectrum(power)
-        total = total + product(p_spectrum, spectrum(total))
+        p_spectrum = np.fft.rfft(power, size)
+        term = product(p_spectrum, np.fft.rfft(total, size))
+        total = total + np.maximum(term, 0.0)
         if bit == "1" or i < len(bits) - 1:
             power = product(p_spectrum, p_spectrum)
         if bit == "1":
-            power = product(spectrum(power), f_spectrum)
-            total = total + power
+            power = product(np.fft.rfft(power, size), f_spectrum)
+            total = total + np.maximum(power, 0.0)
     return total
 
 

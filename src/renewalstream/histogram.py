@@ -56,10 +56,14 @@ class Density:
 
 
 def check_bin_width(bin_width: float) -> None:
-    """Reject a bin width that is not a finite positive number."""
-    if not (np.isfinite(bin_width) and bin_width > 0):
+    """Reject a width that is not finite or is below 1 / MAX_GRID_BINS:
+    timestamps are whole seconds, so a narrower grid reaches no positive lag
+    within the budget, and the density of k lags per window in one bin,
+    k / width, can overflow."""
+    if not (np.isfinite(bin_width) and bin_width >= 1 / MAX_GRID_BINS):
         raise InvalidConfigError(
-            f"bin width must be finite and positive, got {bin_width}"
+            f"bin width must be finite and at least 1/{MAX_GRID_BINS} s, "
+            f"got {bin_width}"
         )
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -61,19 +62,27 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path / "nope.log")]) == 1
 
 
-@pytest.mark.parametrize("command", ["analyze", "detect"])
+@pytest.mark.parametrize("command", ["analyze", "characterize", "detect"])
 @pytest.mark.parametrize(
-    "delta", ["0", "1e-9", "nan", "inf", "-1", "1e-308", "5e-324"]
+    "delta", ["0", "1e-9", "nan", "inf", "-1", "1e-308", "5e-324", "1e-320"]
 )
 def test_bad_bin_width_fails_with_one_error_line(
     tmp_path, poisson_log, capsys, command, delta
 ):
+    # at k = 1 the five-event log's grid ends at one bin whatever the width,
+    # so no grid budget stops a subnormal width there
+    tiny = tmp_path / "tiny.log"
+    tiny.write_text("0\n0\n0\n0\n1\n", encoding="utf-8")
     out = tmp_path / "out"
-    argv = [command, str(poisson_log), "--delta", delta, "--out-dir", str(out)]
-    assert main(argv) == 1
-    err_lines = capsys.readouterr().err.splitlines()
-    assert len([line for line in err_lines if line.startswith("error:")]) == 1
-    assert not out.exists()
+    for log in ([str(poisson_log)], [str(tiny), "--k", "1"]):
+        argv = [command, *log, "--delta", delta, "--out-dir", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "Warning" not in err and not caught
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "characterize"])

@@ -11,7 +11,6 @@ from scipy.signal import fftconvolve
 from renewalstream import estimation
 from renewalstream.errors import InsufficientDataError, InvalidConfigError
 from renewalstream.estimation import (
-    _DIRECT_CONV_LIMIT,
     EstimationConfig,
     _autocorrelation,
     _bin_lags,
@@ -70,38 +69,42 @@ def convolution_rd_loop(f1, k):
     term = f1.values.copy()
     total = term.copy()
     for _ in range(2, k + 1):
-        if n_bins <= _DIRECT_CONV_LIMIT:
-            term = np.convolve(term, f1.values)[:n_bins]
-        else:
-            term = np.maximum(fftconvolve(term, f1.values)[:n_bins], 0.0)
+        term = np.maximum(fftconvolve(term, f1.values)[:n_bins], 0.0)
         total += term
     return total / f1.bin_width
+
+
+def doubling(f, k, convolve):
+    """f + f^2 + ... + f^k by binary doubling, each truncated product
+    convolve(a, b) and each term clipped at 0 as it joins the sum."""
+    total, power = f.copy(), f.copy()
+    bits = bin(k)[3:]
+    for i, bit in enumerate(bits):
+        total = total + np.maximum(convolve(power, total), 0.0)
+        if bit == "1" or i < len(bits) - 1:
+            power = convolve(power, power)
+        if bit == "1":
+            power = convolve(power, f)
+            total = total + np.maximum(power, 0.0)
+    return total
 
 
 def power_sum_per_product(f, k):
     """Reference power sum: the same doubling, with both operands of every
     product transformed anew (one truncated convolution per product)."""
-    n_bins = f.size
 
     def convolve(a, b):
-        if n_bins <= _DIRECT_CONV_LIMIT:
-            return np.convolve(a, b)[:n_bins]
         size = 1 << (a.size + b.size - 2).bit_length()
         out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
-        out = out[:n_bins]
-        np.maximum(out, 0.0, out=out)
-        return out
+        return out[: f.size]
 
-    total, power = f.copy(), f.copy()
-    bits = bin(k)[3:]
-    for i, bit in enumerate(bits):
-        total = total + convolve(power, total)
-        if bit == "1" or i < len(bits) - 1:
-            power = convolve(power, power)
-        if bit == "1":
-            power = convolve(power, f)
-            total = total + power
-    return total
+    return doubling(f, k, convolve)
+
+
+def power_sum_direct(f, k):
+    """Reference power sum: the same doubling by np.convolve, O(N^2) per
+    product and no transforms."""
+    return doubling(f, k, lambda a, b: np.convolve(a, b)[: f.size])
 
 
 def offsets(gaps):
@@ -516,7 +519,7 @@ SHORT_GRID_STREAMS = {
 }
 
 
-DOUBLING_BINS = [300, _DIRECT_CONV_LIMIT + 900]  # np.convolve, then rfft
+DOUBLING_BINS = [300, 4996]  # rfft sizes 1,024 and 16,384
 DOUBLING_ORDERS = [1, 2, 3, 7, 64, 1000]
 
 
@@ -530,17 +533,17 @@ def decaying_f1(n_bins):
 
 class TestConvolutionRd:
     @pytest.mark.parametrize(
-        "name, k, width, direct",
+        "name, k, width",
         [
-            ("poisson", 2, 1.0, True),
-            ("poisson", 3, 0.01, False),
-            ("cluster", 2, 1.0, True),
-            ("cluster", 5, 0.01, False),
-            ("one_long_gap", 2, 10_000.0, True),
-            ("one_long_gap", 5, 100.0, False),
+            ("poisson", 2, 1.0),
+            ("poisson", 3, 0.01),
+            ("cluster", 2, 1.0),
+            ("cluster", 5, 0.01),
+            ("one_long_gap", 2, 10_000.0),
+            ("one_long_gap", 5, 100.0),
         ],
     )
-    def test_short_grid_is_start_of_long_grid(self, name, k, width, direct):
+    def test_short_grid_is_start_of_long_grid(self, name, k, width):
         # the largest gap lies past the short grid, so f1 is a share of all
         # gaps there and r'(t) is the in-grid part of the long-grid estimate
         arrivals = inter_arrivals(SHORT_GRID_STREAMS[name]())
@@ -550,12 +553,7 @@ class TestConvolutionRd:
         assert short.n_bins < long.n_bins
         assert short.n_bins == np.ceil(1.5 * k * arrivals.mean / width)
         head = long.values[: short.n_bins]
-        if direct:
-            assert long.n_bins <= _DIRECT_CONV_LIMIT
-            assert short.values.tolist() == head.tolist()
-        else:
-            assert short.n_bins > _DIRECT_CONV_LIMIT
-            assert np.max(np.abs(short.values - head)) <= 1e-12 * long.values.max()
+        assert np.max(np.abs(short.values - head)) <= 1e-12 * long.values.max()
 
     def test_delta_spikes_at_multiples(self):
         f1 = Density(1.0, np.zeros(16))
@@ -580,6 +578,26 @@ class TestConvolutionRd:
         # every product transforming both of its operands
         f = decaying_f1(n_bins).values
         assert _power_sum(f, k).tolist() == power_sum_per_product(f, k).tolist()
+
+    @pytest.mark.parametrize(
+        "n_bins, k", [(300, k) for k in DOUBLING_ORDERS] + [(2967, 1000)]
+    )
+    def test_power_sum_matches_direct_doubling(self, n_bins, k):
+        # 2,967 bins at k = 1000 is the r'(t) grid of the large benchmark
+        f = decaying_f1(n_bins).values
+        expected = power_sum_direct(f, k)
+        assert np.max(np.abs(_power_sum(f, k) - expected)) <= 1e-12 * expected.max()
+
+    def test_power_sum_round_off_adds_no_mass(self):
+        # the large benchmark's f1: 1 s bins, mean gap 2 s, about 20 non-empty
+        # bins. E sums r(t) - r'(t), so a bias in r'(t) grows along the grid;
+        # clipping every power at 0 would put 2.8e-10 of the maximum here
+        arrivals = inter_arrivals(gen_poisson(2.0, 10_000, seed=1))
+        end = convolution_grid_end(arrivals, 1000, 1.0)
+        f = first_order_pdf(arrivals, 1.0, end).values
+        expected = power_sum_direct(f, 1000)
+        drift = np.cumsum(_power_sum(f, 1000) - expected)
+        assert np.max(np.abs(drift)) <= 1e-10 * expected.max()
 
     def test_single_order_is_f1_over_width(self):
         f1 = Density(0.5, [0.2, 0.3, 0.5])
