@@ -9,6 +9,7 @@ periodic traffic detected.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -49,18 +50,31 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
-        reason = exc.strerror
+        raise StreamAnalysisError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _read_text(path: str, data: bytes | None = None) -> str:
+    """The file's UTF-8 text with universal newlines, as ``Path.read_text``
+    gives it; ``data`` is the file's bytes if they have been read."""
+    raw = io.BytesIO(_read_bytes(path) if data is None else data)
+    try:
+        return io.TextIOWrapper(raw, encoding="utf-8").read()
     except UnicodeDecodeError as exc:
-        reason = f"not UTF-8 at byte {exc.start} ({exc.reason})"
-    raise StreamAnalysisError(f"cannot read {path}: {reason}")
+        raise StreamAnalysisError(
+            f"cannot read {path}: not UTF-8 at byte {exc.start} ({exc.reason})"
+        ) from None
 
 
 def _read_stream(path: str):
-    stream = parse_stream(_read_text(path))
+    data = _read_bytes(path)
+    # ASCII with no carriage return is its own text: parse it undecoded
+    if not data.isascii() or b"\r" in data:
+        data = _read_text(path, data)
+    stream = parse_stream(data)
     if stream.m < MIN_CONVERGED_EVENTS:
         _warn(
             f"only {stream.m} events; estimates may not have converged "

@@ -29,10 +29,8 @@ _PARSE_BATCH_BYTES = 1 << 20
 # 18 digits stay below 2**63, so a plain epoch line cannot overflow int64.
 _EPOCH_MAX_DIGITS = 18
 _ZERO, _NEWLINE = ord("0"), ord("\n")
-# Bytes minus the template: a digit's value in a digit column, 0 for the
-# right separator or line feed, and otherwise past the column's maximum.
+# A fixed-width row's template: a "0" takes any digit, any other byte only itself.
 _ISO_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00\n", dtype=np.uint8)
-_ISO_MAX = np.where(_ISO_TEMPLATE == _ZERO, 9, 0).astype(np.uint8)
 
 
 @dataclass
@@ -125,45 +123,84 @@ def _parse_lines(text: str) -> np.ndarray:
     return np.asarray(times, dtype=np.int64)
 
 
-def _iso_times(buf: np.ndarray) -> np.ndarray | None:
-    """Epoch seconds of lines of YYYY-MM-DDTHH:MM:SS that strptime takes, or None."""
-    if buf.size % _ISO_TEMPLATE.size:
+def _fixed_width_times(buf: np.ndarray, template: np.ndarray, convert):
+    """Times of a buffer of rows shaped like ``template``, or None.
+
+    Batch by batch, the rows are copied into one contiguous column per byte
+    position, less its template byte, and every column is checked at once:
+    a digit column must hold only 0-9, any other column only 0. Then
+    ``convert(rows, columns, out)`` fills the batch's times, or returns False
+    to refuse it. Temporaries are O(batch) beyond the output.
+    """
+    if buf.size % template.size:
         return None
-    rows = buf.reshape(-1, _ISO_TEMPLATE.size)
-    times = np.empty(rows.shape[0], dtype="datetime64[s]")
-    step = _PARSE_BATCH_BYTES // _ISO_TEMPLATE.size
+    rows = buf.reshape(-1, template.size)
+    limit = np.where(template == _ZERO, 9, 0)
+    times = np.empty(rows.shape[0], dtype=np.int64)
+    step = max(1, _PARSE_BATCH_BYTES // template.size)
     for start in range(0, rows.shape[0], step):
         batch = rows[start : start + step]
-        if ((batch - _ISO_TEMPLATE) > _ISO_MAX).any():
+        columns = np.array(batch.T, order="C")  # a copy even for one row
+        columns -= template[:, None]
+        if (columns.max(axis=1) > limit).any():
             return None
-        stamps = np.ascontiguousarray(batch[:, :-1]).view("S19")
-        try:  # numpy rejects a field out of its calendar range, as strptime does
-            times[start : start + step] = stamps[:, 0]
-        except ValueError:
+        if not convert(batch, columns, times[start : start + step]):
             return None
+    return times
+
+
+def _epoch_rows(rows, columns, out) -> bool:
+    """Horner's rule over the digit columns, two digits per step."""
+    width = columns.shape[0] - 1  # the last column is the line feed
+    head = 2 - width % 2  # one or two leading digits, then pairs
+    out[:] = columns[0] if head == 1 else columns[0] * 10 + columns[1]
+    for i in range(head, width, 2):
+        out *= 100
+        out += columns[i] * 10 + columns[i + 1]
+    return True
+
+
+def _iso_rows(rows, columns, out) -> bool:
+    """numpy's datetime64 parse of the rows, where strptime takes each one."""
+    stamps = np.ascontiguousarray(rows[:, :-1]).view("S19")
+    try:  # numpy rejects a field out of its calendar range, as strptime does
+        out.view("datetime64[s]")[:] = stamps[:, 0]
+    except ValueError:
+        return False
     # numpy also takes year 0, which strptime rejects
-    return None if times.min() < np.datetime64("0001-01-01") else times.view(np.int64)
+    return out.view("datetime64[s]").min() >= np.datetime64("0001-01-01")
 
 
-def _vectorized_times(text: str) -> np.ndarray | None:
+def _vectorized_times(text: str | bytes) -> np.ndarray | None:
     """Times of a log of plain epoch lines or of ISO lines, parsed by numpy;
     None for any other log, a mixed one too.
 
-    It takes only ASCII text whose lines end in a line feed and hold no
-    space, sign, comment or blank line. The per-line parser reads every
-    other log, with the same times for the lines this takes. Bytes are
-    checked in batches: temporaries are O(batch) beyond the copy and output.
+    It takes only ASCII whose lines end in a line feed and hold no space,
+    sign, comment or blank line; text is encoded first, bytes are read as
+    they are. The first line picks the form. Fixed-width lines, ISO or
+    epoch lines of one digit count, go through one row check and one
+    conversion per batch; epoch lines of varying widths are checked and
+    handed to ``np.fromstring``. The per-line parser reads every other log,
+    with the same times for the lines this takes.
     """
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
-    if not data.endswith(b"\n"):
-        data += b"\n"
+    if isinstance(text, str):
+        if not text.isascii():
+            return None
+        text = text.encode("ascii")
+    data = text if text.endswith(b"\n") else text + b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
-    if data.index(b"\n") == _ISO_TEMPLATE.size - 1:  # the first line picks
-        return _iso_times(buf)
-    # Lines of 1-18 digits. Unchecked, np.fromstring would take signs, spaces
-    # and blank lines, and clamp 19 digits to 2**63 - 1.
+    width = data.index(b"\n")
+    if width == _ISO_TEMPLATE.size - 1:
+        return _fixed_width_times(buf, _ISO_TEMPLATE, _iso_rows)
+    if not 1 <= width <= _EPOCH_MAX_DIGITS:
+        return None
+    template = np.full(width + 1, _ZERO, dtype=np.uint8)
+    template[-1] = _NEWLINE
+    times = _fixed_width_times(buf, template, _epoch_rows)
+    if times is not None:
+        return times
+    # Lines of 1-18 digits, of varying widths. Unchecked, np.fromstring would
+    # take signs, spaces and blank lines, and clamp 19 digits to 2**63 - 1.
     start = lines = 0
     while start < buf.size:
         chunk = buf[start : start + _PARSE_BATCH_BYTES]
@@ -171,8 +208,8 @@ def _vectorized_times(text: str) -> np.ndarray | None:
         if not ends.size:
             return None  # a line longer than a batch
         chunk = chunk[: ends[-1] + 1]
-        width = np.diff(ends, prepend=-1) - 1
-        if width.min() < 1 or width.max() > _EPOCH_MAX_DIGITS:
+        widths = np.diff(ends, prepend=-1) - 1
+        if widths.min() < 1 or widths.max() > _EPOCH_MAX_DIGITS:
             return None
         if np.count_nonzero((chunk - _ZERO) > 9) != ends.size:  # "\n" wraps too
             return None
@@ -181,16 +218,18 @@ def _vectorized_times(text: str) -> np.ndarray | None:
     return np.fromstring(data, dtype=np.int64, count=lines, sep="\n")
 
 
-def parse_stream(text: str) -> EventStream:
+def parse_stream(text: str | bytes) -> EventStream:
     """Parse a one-timestamp-per-line log into a sorted :class:`EventStream`.
 
-    Accepted line forms: integer epoch seconds, or an ISO-8601 datetime with
-    one-second resolution (interpreted as UTC). Lines starting with ``#`` and
-    blank lines are skipped. Input order does not matter; duplicates are kept.
+    ``text`` is a ``str`` or UTF-8 ``bytes``; both give the same stream or
+    the same error. Accepted line forms: integer epoch seconds, or an
+    ISO-8601 datetime with one-second resolution (interpreted as UTC). Lines
+    starting with ``#`` and blank lines are skipped. Input order does not
+    matter; duplicates are kept.
     """
     times = _vectorized_times(text)
     if times is None:
-        times = _parse_lines(text)
+        times = _parse_lines(text if isinstance(text, str) else text.decode("utf-8"))
     if not times.size:
         raise EmptyStreamError("no events in input")
     return EventStream(np.sort(times, kind="stable"))

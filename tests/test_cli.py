@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renewalstream import cli
 from renewalstream.cli import SETTINGS, main
 from renewalstream.ingest import parse_stream
 from renewalstream.synth import gen_poisson, inject_periodic
@@ -336,6 +337,56 @@ def test_non_utf8_input_fails_with_one_error_line(tmp_path, capsys, data, messag
     assert capsys.readouterr().err.splitlines() == [
         f"error: cannot read {path}: not UTF-8 at {message}"
     ]
+
+
+def _analyze_outcome(path, out_dir, capsys):
+    """Exit code, stdout, stderr (the log path masked) and written files."""
+    code = main(["analyze", str(path), "--k", "40", "--out-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    files = {f.name: f.read_bytes() for f in sorted(out_dir.glob("*"))}
+    return code, out, err.replace(str(path), "LOG"), files
+
+
+def test_line_ends_and_encodings_read_as_before(tmp_path, capsys, monkeypatch):
+    """A log reads as its UTF-8 text with universal newlines, whichever route
+    it takes: bytes for ASCII with only \\n line ends, text otherwise."""
+    lines = [str(t) for t in gen_poisson(2.0, 3000, seed=5).times]
+    logs = {
+        "lf": ("\n".join(lines) + "\n").encode(),
+        "crlf": ("\r\n".join(lines) + "\r\n").encode(),
+        "cr": ("\r".join(lines) + "\r").encode(),
+        "accent": ("# café\n" + "\n".join(lines) + "\n").encode(),
+        "three": ("\n".join(lines) + "\n3\n").encode(),
+        "arabic_three": ("\n".join(lines) + "\n\u0663\n").encode(),
+        "word": ("\n".join(lines) + "\ncafé\n").encode(),
+        "latin1": ("\n".join(lines) + "\n# caf\xe9\n").encode("latin-1"),
+    }
+    outcomes = {}
+    for name, data in logs.items():
+        path = tmp_path / f"{name}.log"
+        path.write_bytes(data)
+        outcomes[name] = _analyze_outcome(path, tmp_path / name, capsys)
+    code, _, _, files = outcomes["lf"]
+    assert code == 0 and len(files) == 4
+    for name in ("crlf", "cr", "accent"):
+        assert outcomes[name] == outcomes["lf"], name
+    assert outcomes["arabic_three"] == outcomes["three"]  # int() reads any digit
+    bad_line = f"line {len(lines) + 1}: expected integer epoch seconds"
+    assert outcomes["word"] == (
+        1, "", f"error: {bad_line} or YYYY-MM-DDTHH:MM:SS: 'café'\n", {}
+    )
+    assert outcomes["latin1"] == (
+        1, "", f"error: cannot read LOG: not UTF-8 at byte "
+        f"{len(logs['lf']) + 5} (invalid continuation byte)\n", {}
+    )
+
+    def no_text(path, data=None):
+        raise AssertionError("an ASCII log with \\n line ends took the text route")
+
+    monkeypatch.setattr(cli, "_read_text", no_text)
+    assert _analyze_outcome(tmp_path / "lf.log", tmp_path / "lf2", capsys) == (
+        outcomes["lf"]
+    )
 
 
 @pytest.mark.parametrize(

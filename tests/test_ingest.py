@@ -127,10 +127,24 @@ line_kinds = {
 }
 
 
+def epochs_of_width(width):
+    """Lines of exactly ``width`` digits, leading zeros and all nines too."""
+    values = st.integers(0, 10**width - 1)
+    edges = st.sampled_from([0, 1, 10**width - 1])
+    return st.one_of(values, edges).map(lambda v: f"{v:0{width}d}")
+
+
+line_lists = {kind: st.lists(lines, max_size=40) for kind, lines in line_kinds.items()}
+# one digit count per log, so every line is a row of the same width
+line_lists["width"] = st.integers(1, 18).flatmap(
+    lambda width: st.lists(epochs_of_width(width), max_size=40)
+)
+
+
 @st.composite
 def logs(draw):
-    kind = draw(st.sampled_from(sorted(line_kinds)))
-    lines = draw(st.lists(line_kinds[kind], max_size=40))
+    kind = draw(st.sampled_from(sorted(line_lists)))
+    lines = draw(line_lists[kind])
     sep = draw(st.sampled_from(["\n"] * 5 + ["\r\n", "\r", "\x0b", "\x1c", "\u2028"]))
     end = sep if lines and draw(st.booleans()) else ""
     return sep.join(lines) + end
@@ -151,8 +165,20 @@ class TestVectorizedParse:
     def test_same_times_or_same_error_as_line_loop(self, text, batch):
         with mock.patch.object(ingest, "_PARSE_BATCH_BYTES", batch):
             fast = parse_outcome(text)
+            assert parse_outcome(text.encode("utf-8")) == fast
         with mock.patch.object(ingest, "_vectorized_times", lambda text: None):
             assert fast == parse_outcome(text)
+
+    @pytest.mark.parametrize("width", [1, 2, 9, 10, 17, 18])
+    @pytest.mark.parametrize("batch", [20, 64, 1 << 20])
+    def test_fixed_width_kernel_reads_every_digit(self, monkeypatch, width, batch):
+        monkeypatch.setattr(ingest, "_PARSE_BATCH_BYTES", batch)
+        rng = np.random.default_rng(width)
+        values = rng.integers(0, 10**width, 500, dtype=np.int64)
+        values[:3] = 0, 1, 10**width - 1
+        text = "".join(f"{v:0{width}d}\n" for v in values.tolist())
+        assert ingest._vectorized_times(text).tolist() == values.tolist()
+        assert ingest._vectorized_times(text.encode()).tolist() == values.tolist()
 
     @pytest.mark.parametrize(
         "line",
@@ -201,9 +227,25 @@ class TestVectorizedParse:
         shifted = "".join(f"{t}\n" for t in times - times[0])  # 1 to 7 digits
         for text in (epoch, iso, shifted, iso.rstrip("\n")):
             assert len(parse_stream(text).times) == times.size
-        assert parse_stream(epoch).times.tolist() == times.tolist()
         assert parse_stream(iso).times.tolist() == times.tolist()
+
+        def no_fromstring(*args, **kwargs):
+            raise AssertionError("np.fromstring ran on fixed-width lines")
+
+        with monkeypatch.context() as patch:  # the kernel, not a quiet fallback
+            patch.setattr(np, "fromstring", no_fromstring)
+            assert parse_stream(epoch).times.tolist() == times.tolist()
+            assert parse_stream(epoch.encode()).times.tolist() == times.tolist()
+        fromstring = np.fromstring
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fromstring(*args, **kwargs)
+
+        monkeypatch.setattr(np, "fromstring", counted)
         assert parse_stream(shifted).times.tolist() == (times - times[0]).tolist()
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -223,7 +265,8 @@ def test_iso_width_lines_numpy_reads_fall_back_and_fail(line):
 
 @pytest.mark.parametrize("form", ["epoch", "iso"])
 def test_vectorized_parse_peak_memory(monkeypatch, form):
-    """The fast path's peak: the byte copy, the output and O(batch) more."""
+    """The fast path's peak: the output and O(batch) more, plus the byte
+    copy of a str; bytes are parsed with no copy."""
     batch = 1 << 16
     monkeypatch.setattr(ingest, "_PARSE_BATCH_BYTES", batch)
     rng = np.random.default_rng(3)
@@ -233,16 +276,17 @@ def test_vectorized_parse_peak_memory(monkeypatch, form):
         lines = np.datetime_as_string(times.astype("datetime64[s]"), unit="s")
     text = "".join(f"{line}\n" for line in lines)
     assert len(text) >= 8 * batch
-    tracemalloc.start()
-    try:
-        parsed = ingest._vectorized_times(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert parsed.tolist() == times.tolist()
-    # the hand-rolled digit parse this replaced peaked at 4.6 (epoch) and
-    # 7.1 (ISO) batches beyond the byte copy and the output
-    assert peak <= len(text) + 8 * times.size + 8 * batch
+    for log, copy in ((text, len(text)), (text.encode(), 0)):
+        tracemalloc.start()
+        try:
+            parsed = ingest._vectorized_times(log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.tolist() == times.tolist()
+        # the hand-rolled digit parse this replaced peaked at 4.6 (epoch) and
+        # 7.1 (ISO) batches beyond the byte copy and the output
+        assert peak <= copy + 8 * times.size + 8 * batch
 
 
 class TestEventStream:
