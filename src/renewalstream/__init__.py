@@ -42,9 +42,6 @@ from .estimation import (
 )
 from .histogram import (
     Density,
-    Histogram,
-    build_histogram,
-    normalize,
     optimal_bin_width,
     shimazaki_cost,
 )

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidConfigError
+from .errors import EmptyDensityError, InsufficientDataError, InvalidConfigError
 from .histogram import (
     Density,
     bin_count,
     bins_to_csv,
-    build_histogram,
     MAX_GRID_BINS,
     check_bin_width,
-    normalize,
     optimal_bin_width,
 )
 from .ingest import EventStream, InterArrivals, inter_arrivals
@@ -73,7 +71,7 @@ class PartialSumTable:
         if not 1 <= j <= self.k:
             raise InvalidConfigError(f"order must be in 1..{self.k}, got {j}")
         w = self.n_windows
-        return (self.offsets[j : j + w] - self.offsets[:w]).astype(np.float64)
+        return self.offsets[j : j + w] - self.offsets[:w]
 
 
 def partial_sums(arrivals: InterArrivals, k: int) -> PartialSumTable:
@@ -116,41 +114,43 @@ class RenewalDensityEstimate:
         return bins_to_csv("t,value", self.bin_width, self.values)
 
 
-def _bin_lags(chunks, bin_width: float, n_bins: int) -> np.ndarray:
-    """Counts of the integer lags in the chunks on n_bins bins of bin_width.
+def _lag_bins(lags: np.ndarray, bin_width: float, n_bins: int) -> np.ndarray:
+    """Bin indices of the integer lags on n_bins bins of bin_width, in order.
 
-    Lag L lands in bin floor(L / bin_width) if L < n_bins * bin_width. An
-    integral width divides in integers, which is exact and several times
-    faster than the float division other widths need; the integer path
-    needs the grid end to fit int64. Per chunk:
-
-    * at an integral width, the L < end mask runs only if the chunk's
-      largest lag reaches the end, and the division only above width 1 (at
-      width 1 a lag is its own bin); a float width always masks and divides,
-    * a chunk of at least n_bins indices is bincounted as it is; smaller
-      ones are copied into one buffer of at least n_bins indices and counted
-      when it fills, so no bincount costs more than O(lags).
-
-    No chunk is read after the next one is asked for, so the chunks may all
-    be one array refilled in place.
+    Lag L lands in bin floor(L / bin_width) if L < n_bins * bin_width; the
+    others are dropped, so sorted lags keep a prefix. An integral width
+    divides in integers, which is exact and several times faster than the
+    float division other widths need; the integer path needs the grid end
+    to fit int64. There the L < end mask runs only if the largest lag
+    reaches the end, and the division only above width 1 (at width 1 a lag
+    is its own bin); a float width always masks and divides.
     """
-    whole = float(bin_width).is_integer() and n_bins * bin_width < 2**63
-    if whole:
-        bin_width = int(bin_width)
-    end = n_bins * bin_width
+    if float(bin_width).is_integer() and n_bins * bin_width < 2**63:
+        width = int(bin_width)
+        if lags.max(initial=0) >= n_bins * width:
+            lags = lags[lags < n_bins * width]
+        return lags if width == 1 else lags // width
+    lags = (lags[lags < n_bins * bin_width] / bin_width).astype(np.int64)
+    return lags[lags < n_bins]
+
+
+def _bin_lags(chunks, bin_width: float, n_bins: int) -> np.ndarray:
+    """Counts of the integer lags in the chunks on n_bins bins of bin_width,
+    each chunk binned by _lag_bins.
+
+    A chunk of at least n_bins indices is bincounted as it is; smaller ones
+    are copied into one buffer of at least n_bins indices and counted when
+    it fills, so no bincount costs more than O(lags). No chunk is read
+    after the next one is asked for, so the chunks may all be one array
+    refilled in place.
+    """
     counts = np.zeros(n_bins, dtype=np.int64)
     pending = np.empty(max(n_bins, _BINCOUNT_CHUNK), dtype=np.int64)
     size = 0
     for lags in chunks:
         # one name for the lags and then their bin indices, so no chunk's
         # arrays outlive it while the next chunk is made
-        if not whole:
-            lags = (lags[lags < end] / bin_width).astype(np.int64)
-            lags = lags[lags < n_bins]
-        elif lags.max(initial=0) >= end:
-            lags = lags[lags < end]
-        if whole and bin_width != 1:
-            lags = lags // bin_width
+        lags = _lag_bins(lags, bin_width, n_bins)
         if lags.size >= n_bins:
             counts += np.bincount(lags, minlength=n_bins)
             continue
@@ -239,27 +239,25 @@ def _pair_counts(
     """Order-1..k pair lags on n_bins bins of bin_width; whether FFT ran.
 
     The direct path bins one vector of lags per order, O(k * n_windows),
-    each subtracted into the same n_windows buffer; _bin_lags says when a
-    vector is masked, divided or copied.
+    each subtracted into the same n_windows buffer; _lag_bins says when a
+    vector is masked or divided, _bin_lags when it is copied.
     The FFT path counts the lags per second, O(span log lmax), and then
-    rebins them; it runs once a second of span holds enough pair lags and
-    its 1 s histogram fits the grid budget. It must also subtract every pair
-    of order above k below lmax; a same-second burst much longer than k can
-    make those outnumber the direct path's own pairs, and then the direct
-    path runs.
+    rebins them by the same rule; it runs once a second of span holds
+    enough pair lags and its 1 s histogram fits the grid budget. It must
+    also subtract every pair of order above k below lmax; a same-second
+    burst much longer than k can make those outnumber the direct path's own
+    pairs, and then the direct path runs.
     """
     w = t.size - 1 - k
-    grid_end = n_bins * bin_width
-    lmax = min(int(np.ceil(grid_end)), int(t[-1]) + 1)
+    lmax = min(int(np.ceil(n_bins * bin_width)), int(t[-1]) + 1)
     if k * w >= FFT_MIN_LAGS_PER_SECOND * int(t[-1]) and lmax <= MAX_GRID_BINS:
         start, extra = _beyond_order_k(t, k, lmax)
         if extra.sum() <= k * w:
             hist = _lag_histogram_fft(t, k, lmax, start, extra)
             lags = np.flatnonzero(hist)
-            idx = np.floor(lags / bin_width).astype(np.int64)
-            keep = (lags < grid_end) & (idx < n_bins)
-            weights = hist[lags[keep]]
-            return np.bincount(idx[keep], weights=weights, minlength=n_bins), True
+            idx = _lag_bins(lags, bin_width, n_bins)  # of a prefix of lags
+            weights = hist[lags[: idx.size]]
+            return np.bincount(idx, weights=weights, minlength=n_bins), True
     lags = np.empty(w, dtype=t.dtype)
     chunks = (np.subtract(t[j : j + w], t[:w], out=lags) for j in range(1, k + 1))
     return _bin_lags(chunks, bin_width, n_bins), False
@@ -297,9 +295,20 @@ def empirical_rd(
 def first_order_pdf(
     arrivals: InterArrivals, bin_width: float, t_max: float
 ) -> Density:
-    """Histogram of the raw inter-arrival values, each bin a share of all gaps."""
-    hist = build_histogram(arrivals.values, bin_width, t_max)
-    return normalize(hist)
+    """Histogram of the gaps, each bin a share of all gaps, on the
+    bin_count(t_max, bin_width) whole bins that empirical_rd uses.
+
+    The gaps are integer lags and are binned by _lag_bins, as the pair lags
+    of r(t) are; a gap past the grid counts in no bin but in the share.
+    """
+    if t_max <= 0:
+        raise InvalidConfigError(f"t_max must be positive, got {t_max}")
+    n_bins = bin_count(t_max, bin_width, origin=0.0)
+    idx = _lag_bins(arrivals.values, bin_width, n_bins)
+    counts = np.bincount(idx, minlength=n_bins)
+    if not counts.any():
+        raise EmptyDensityError("no gap lies on the grid")
+    return Density(bin_width=bin_width, values=counts / arrivals.n)
 
 
 def _power_sum(f: np.ndarray, k: int) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""Uniform-bin histograms and bin-width selection.
+"""Uniform grids: bin-width selection, the grid budget, binned densities.
 
 The bin width is chosen by minimizing the mean/variance cost
 ``C = (2*kbar - v) / width**2`` over an explicit candidate grid, where
 ``kbar`` and ``v`` are the mean and biased variance of the per-bin counts.
+The histograms themselves are counted in ``estimation``: one rule,
+``_lag_bins``, bins the whole-second lags of r(t) and the gaps of f1.
 """
 
 from __future__ import annotations
@@ -11,33 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDensityError, InvalidConfigError
+from .errors import InvalidConfigError
 
 DEFAULT_GRID_SIZE = 50
 
 # Largest grid any estimate may allocate: 2**24 bins is 134 MB of float64,
 # or 194 days of lag at 1 s bins.
 MAX_GRID_BINS = 1 << 24
-
-
-@dataclass
-class Histogram:
-    """Counts over uniform half-open bins [i*w, (i+1)*w)."""
-
-    bin_width: float
-    counts: np.ndarray
-    overflow: int = 0
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-
-    @property
-    def n_bins(self) -> int:
-        return int(self.counts.size)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass
@@ -92,17 +74,6 @@ def _bin_indices(samples: np.ndarray, bin_width: float, t_max: float):
     idx = np.floor(samples / bin_width).astype(np.int64)
     in_range = (samples >= 0) & (samples < t_max) & (idx >= 0) & (idx < n_bins)
     return idx, in_range, n_bins
-
-
-def build_histogram(samples, bin_width: float, t_max: float) -> Histogram:
-    """Bin samples on [0, t_max); out-of-range samples count as overflow."""
-    samples = np.asarray(samples, dtype=np.float64)
-    idx, in_range, n_bins = _bin_indices(samples, bin_width, t_max)
-    return Histogram(
-        bin_width=bin_width,
-        counts=np.bincount(idx[in_range], minlength=n_bins),
-        overflow=int(samples.size - in_range.sum()),
-    )
 
 
 def shimazaki_cost(counts, n_bins: int, bin_width: float) -> float:
@@ -168,14 +139,6 @@ def optimal_bin_width(samples, candidates=None) -> float:
             f"every candidate width needs at least {MAX_GRID_BINS} bins"
         )
     return best_width
-
-
-def normalize(hist: Histogram) -> Density:
-    """Convert counts to masses: each bin's share of all samples, overflow too."""
-    if hist.total < 1:
-        raise EmptyDensityError("histogram holds no in-range samples")
-    share = hist.counts / float(hist.total + hist.overflow)
-    return Density(bin_width=hist.bin_width, values=share)
 
 
 def bins_to_csv(header: str, bin_width: float, *columns) -> str:

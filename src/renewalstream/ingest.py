@@ -66,12 +66,15 @@ class EventStream:
 
 @dataclass
 class InterArrivals:
-    """Differences between consecutive event times; zeros are preserved."""
+    """Differences between consecutive event times; zeros are preserved,
+    and a negative value is rejected."""
 
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.int64)
+        if self.values.min(initial=0) < 0:
+            raise InvalidConfigError("inter-arrivals must not be negative")
 
     @property
     def n(self) -> int:
@@ -232,7 +235,8 @@ def parse_stream(text: str | bytes) -> EventStream:
         times = _parse_lines(text if isinstance(text, str) else text.decode("utf-8"))
     if not times.size:
         raise EmptyStreamError("no events in input")
-    return EventStream(np.sort(times, kind="stable"))
+    times.sort(kind="stable")  # every parser returns a fresh array
+    return EventStream(times)
 
 
 def serialize_stream(stream: EventStream) -> str:
@@ -246,12 +250,17 @@ def inter_arrivals(stream: EventStream) -> InterArrivals:
         raise InsufficientDataError(
             f"need at least 2 events for inter-arrivals, got {stream.m}"
         )
+    # compare neighbours, not their differences: np.diff of unsorted times
+    # can wrap in int64
+    times = stream.times
+    if np.any(times[1:] < times[:-1]):
+        raise InvalidConfigError("event times must not decrease")
     # times are sorted, so no gap wraps in int64 once the whole span fits
     if stream.span > np.iinfo(np.int64).max:
         raise StreamAnalysisError(
             f"stream spans {stream.span} seconds, beyond the int64 range"
         )
-    return InterArrivals(np.diff(stream.times))
+    return InterArrivals(np.diff(times))
 
 
 def downsample(

@@ -25,9 +25,10 @@ from renewalstream.estimation import (
     estimate_stream,
     partial_sums,
 )
-from renewalstream.histogram import build_histogram, normalize, optimal_bin_width
+from renewalstream.histogram import Density, optimal_bin_width
 from renewalstream.ingest import InterArrivals, downsample
 from renewalstream.synth import gen_cluster, gen_poisson, inject_periodic
+from test_histogram import build_histogram, float_first_order_pdf
 
 MEAN_GAP = 2.0  # criterion 1/2 stream: mean inter-arrival, seconds
 M_BASELINE = 100_000
@@ -197,11 +198,10 @@ def test_criterion_6_oracle_equivalences():
                 sums_ok = False
 
     # (b) convolution estimate against a direct Monte-Carlo partial-sum run
-    f1 = normalize(
-        build_histogram(
-            np.random.default_rng(607).exponential(1.0, 50_000), 0.1, 40.0
-        )
-    )
+    samples = np.random.default_rng(607).exponential(1.0, 50_000)
+    idx = np.floor(samples / 0.1).astype(np.int64)
+    f1 = Density(0.1, np.bincount(idx[idx < 400], minlength=400) / samples.size)
+    assert f1.values.tolist() == float_first_order_pdf(samples, 0.1, 40.0).tolist()
     k = 30
     est = convolution_rd(f1, k)
     expected_mass = est.values * f1.bin_width
@@ -231,9 +231,9 @@ def test_criterion_6_oracle_equivalences():
     best = optimal_bin_width(samples, grid)
     costs = []
     for width in grid:
+        counts = np.bincount(np.floor(samples / width).astype(np.int64)).tolist()
         t_max = (math.floor(float(samples.max()) / width) + 1.0) * width
-        hist = build_histogram(samples, width, t_max)
-        counts = hist.counts.tolist()
+        assert counts == build_histogram(samples, width, t_max)[0].tolist()
         mean = sum(counts) / len(counts)
         var = sum((mean - c) ** 2 for c in counts) / len(counts)
         costs.append((2 * mean - var) / width**2)

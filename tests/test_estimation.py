@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 from renewalstream import estimation
-from renewalstream.errors import InsufficientDataError, InvalidConfigError
+from renewalstream.errors import (
+    EmptyDensityError,
+    InsufficientDataError,
+    InvalidConfigError,
+)
 from renewalstream.estimation import (
     EstimationConfig,
     _autocorrelation,
     _bin_lags,
     _beyond_order_k,
+    _lag_bins,
     _lag_histogram_fft,
     _pair_counts,
     _power_sum,
@@ -27,9 +32,10 @@ from renewalstream.estimation import (
     first_order_pdf,
     partial_sums,
 )
-from renewalstream.histogram import Density, bin_count, build_histogram
+from renewalstream.histogram import Density, bin_count
 from renewalstream.ingest import EventStream, InterArrivals, inter_arrivals
 from renewalstream.synth import gen_cluster, gen_poisson, inject_periodic
+from test_histogram import build_histogram, float_first_order_pdf
 
 
 def brute_force_partial_sums(values, k):
@@ -169,8 +175,9 @@ def sparse_grid():
 class TestPartialSums:
     def test_hand_traced_example(self):
         table = partial_sums(InterArrivals([1, 2, 3, 4]), 2)
-        assert table.order(1).tolist() == [1.0, 2.0]
-        assert table.order(2).tolist() == [3.0, 5.0]
+        assert table.order(1).tolist() == [1, 2]
+        assert table.order(2).tolist() == [3, 5]
+        assert table.order(2).dtype == np.int64
 
     def test_constant_sequence(self):
         table = partial_sums(InterArrivals([3] * 10), 4)
@@ -438,6 +445,15 @@ class TestLagHistograms:
         expected = np.bincount(idx[keep], minlength=n_bins)
         assert np.array_equal(_bin_lags(iter(chunks), width, n_bins), expected)
         assert np.array_equal(_bin_lags(refilled(chunks), width, n_bins), expected)
+        # as the FFT path rebins its 1 s histogram: the distinct lags are
+        # sorted, so the kept ones are a prefix, weighted by their counts
+        per_second = np.bincount(lags)
+        distinct = np.flatnonzero(per_second)
+        idx = _lag_bins(distinct, width, n_bins)
+        assert np.array_equal(idx, np.floor(distinct[: idx.size] / width))
+        assert not keep[np.isin(lags, distinct[idx.size :])].any()
+        weights = per_second[distinct[: idx.size]]
+        assert np.array_equal(np.bincount(idx, weights, n_bins), expected)
 
     def test_direct_path_peak_memory(self, sparse_grid):
         # the counts and one bincount of the grid, the index buffer, two lag
@@ -480,11 +496,66 @@ class TestFirstOrderPdf:
         density = first_order_pdf(InterArrivals([0, 0, 2]), 1.0, 3.0)
         assert density.values == pytest.approx([2 / 3, 0.0, 1 / 3])
 
-    def test_all_out_of_range_rejected(self):
-        from renewalstream.errors import EmptyDensityError
+    def test_boundary_goes_right(self):
+        density = first_order_pdf(InterArrivals([1]), 1.0, 3.0)
+        assert density.values.tolist() == [0.0, 1.0, 0.0]
 
+    def test_off_grid_gaps_keep_their_share(self):
+        density = first_order_pdf(InterArrivals([0, 3, 5, 1]), 1.0, 3.0)
+        assert density.values.tolist() == [0.25, 0.25, 0.0]
+
+    def test_all_out_of_range_rejected(self):
         with pytest.raises(EmptyDensityError):
             first_order_pdf(InterArrivals([5, 7]), 1.0, 3.0)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0])
+    def test_grid_end_must_be_positive(self, t_max):
+        with pytest.raises(InvalidConfigError, match="t_max must be positive"):
+            first_order_pdf(InterArrivals([1, 2]), 1.0, t_max)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_width_rejected(self, width):
+        with pytest.raises(InvalidConfigError, match="bin width"):
+            first_order_pdf(InterArrivals([1, 2]), width, 3.0)
+
+    @pytest.mark.parametrize("width", [1.0, 2.0, 3.0, 0.7, 2.5, 1 / 3])
+    def test_bit_identical_to_float_histogram(self, width):
+        # grid ends of whole bins, as every pipeline caller passes
+        rng = np.random.default_rng(int(width * 30))
+        for _ in range(300):
+            gaps = rng.integers(0, int(rng.integers(1, 60)), int(rng.integers(1, 80)))
+            n_bins = int(rng.integers(1, 40))
+            t_max = n_bins * width
+            try:
+                expected = float_first_order_pdf(gaps, width, t_max)
+            except EmptyDensityError:
+                with pytest.raises(EmptyDensityError):
+                    first_order_pdf(InterArrivals(gaps), width, t_max)
+                continue
+            got = first_order_pdf(InterArrivals(gaps), width, t_max)
+            assert got.values.tolist() == expected.tolist()
+
+    def test_partial_last_bin_covers_whole_bin(self):
+        # an end of 1.0 s at width 0.7 gives 2 bins, [0, 0.7) and [0.7, 1.4):
+        # the gap of 1 s lands in bin 1, where the float histogram it
+        # replaced cut the grid at 1.0 and counted the gap off the grid
+        gaps = [0, 1]
+        assert float_first_order_pdf(gaps, 0.7, 1.0).tolist() == [0.5, 0.0]
+        density = first_order_pdf(InterArrivals(gaps), 0.7, 1.0)
+        assert density.values.tolist() == [0.5, 0.5]
+
+    @given(
+        values=st.lists(st.integers(0, 50), min_size=1, max_size=60),
+        width=st.sampled_from([1.0, 3.0, 0.7, 2.5]),
+        n_bins=st.integers(1, 30),
+    )
+    def test_conservation(self, values, width, n_bins):
+        on = sum(v < n_bins * width and int(v / width) < n_bins for v in values)
+        if on == 0:
+            return
+        density = first_order_pdf(InterArrivals(values), width, n_bins * width)
+        assert density.n_bins == n_bins
+        assert density.values.sum() * len(values) == pytest.approx(on)
 
     @given(
         values=st.lists(
@@ -502,8 +573,11 @@ def long_grid_convolution(arrivals, k, width):
     the grid ends."""
     end = max(1.5 * k * arrivals.mean, float(arrivals.values.max()) + width)
     n_bins = max(1, int(np.ceil(end / width)))
-    hist = build_histogram(arrivals.values, width, n_bins * width)
-    return convolution_rd(Density(width, hist.counts / hist.total), k)
+    idx = np.floor(arrivals.values / width).astype(np.int64)
+    counts = np.bincount(idx, minlength=n_bins)
+    expected, overflow = build_histogram(arrivals.values, width, n_bins * width)
+    assert counts.tolist() == expected.tolist() and overflow == 0
+    return convolution_rd(Density(width, counts / arrivals.n), k)
 
 
 def one_long_gap_stream():
@@ -612,13 +686,11 @@ class TestConvolutionRd:
         # oracle: sample gaps from the discretized first-order law, sum them
         # directly into partial sums of orders 1..k, and histogram; the
         # convolution route must agree within 3 empirical standard errors
-        from renewalstream.histogram import build_histogram, normalize
-
         rng = np.random.default_rng(11)
         samples = rng.exponential(1.0, 100_000)
         width = 0.1
         k = 50
-        f1 = normalize(build_histogram(samples, width, t_max=80.0))
+        f1 = Density(width, float_first_order_pdf(samples, width, t_max=80.0))
         est = convolution_rd(f1, k)
         expected_mass = est.values * width  # sum over orders of P(S_n = bin)
 
@@ -665,6 +737,21 @@ class TestEstimateStream:
         assert end <= np.quantile(top, 0.011)
         assert end >= 1.0
 
+    @pytest.mark.parametrize("width", [1.0, 3.0, 0.7, 13.37])
+    def test_grid_end_equals_float_copy_quantile(self, width):
+        # the quantile of the int64 sums gives the float-copy quantile's end
+        rng = np.random.default_rng(int(width * 100))
+        for _ in range(200):
+            n = int(rng.integers(2, 300))
+            k = int(rng.integers(1, n))
+            scale = 10 ** int(rng.integers(1, 12))  # gaps up to 1e11 s
+            gaps = rng.integers(0, scale, n)
+            table = partial_sums(InterArrivals(gaps), k)
+            top = table.order(k).astype(np.float64)
+            end = float(np.quantile(top, estimation.DEFAULT_GRID_QUANTILE))
+            expected = float(max(1.0, np.floor(end / width)) * width)
+            assert empirical_grid_end(table, width) == expected
+
     def test_one_very_long_gap_still_estimated(self):
         # a 2e7 s gap: width 1 s would need more than MAX_GRID_BINS bins to
         # cover it, so the width search skips that candidate
@@ -681,6 +768,17 @@ class TestEstimateStream:
         assert f1.values.sum() == pytest.approx((n - 1) / n, rel=1e-12)
         assert np.all(np.isfinite(emp.values)) and emp.values.max() > 0
         assert np.all(np.isfinite(conv.values)) and conv.values.max() > 0
+
+    @pytest.mark.parametrize("fault", ["swapped", "negative"])
+    def test_decreasing_times_rejected(self, fault):
+        times = gen_poisson(2.0, 20_000, seed=4).times.copy()
+        if fault == "swapped":
+            times[[9_000, 9_001]] = times[[9_001, 9_000]]
+            assert times[9_000] != times[9_001]
+        else:
+            times[10_000] = -10
+        with pytest.raises(InvalidConfigError, match="must not decrease"):
+            estimate_stream(EventStream(times))
 
     def test_too_large_order_rejected(self):
         stream = gen_poisson(2.0, 30, seed=1)

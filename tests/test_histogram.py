@@ -8,14 +8,39 @@ from hypothesis import strategies as st
 from renewalstream.errors import EmptyDensityError, InvalidConfigError
 from renewalstream.histogram import (
     MAX_GRID_BINS,
-    Histogram,
+    Density,
+    bin_count,
     bins_to_csv,
-    build_histogram,
     default_width_grid,
-    normalize,
     optimal_bin_width,
     shimazaki_cost,
 )
+
+
+def build_histogram(samples, bin_width, t_max):
+    """Oracle: the float histogram layer first_order_pdf replaced. Counts
+    of floor(x / bin_width) over bin_count(t_max, bin_width) bins for the
+    samples in [0, t_max), and the number of the others."""
+    if t_max <= 0:
+        raise InvalidConfigError(f"t_max must be positive, got {t_max}")
+    samples = np.asarray(samples, dtype=np.float64)
+    n_bins = bin_count(t_max, bin_width, 0.0)
+    idx = np.floor(samples / bin_width).astype(np.int64)
+    on = (samples >= 0) & (samples < t_max) & (idx >= 0) & (idx < n_bins)
+    return np.bincount(idx[on], minlength=n_bins), int(samples.size - on.sum())
+
+
+def normalize(counts, overflow=0):
+    """Oracle: each bin's share of all samples, those off the grid too."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.sum() < 1:
+        raise EmptyDensityError("histogram holds no in-range samples")
+    return counts / float(counts.sum() + overflow)
+
+
+def float_first_order_pdf(gaps, bin_width, t_max):
+    """Oracle f1: the float histogram of the gaps, normalized."""
+    return normalize(*build_histogram(gaps, bin_width, t_max))
 
 
 def brute_force_cost(samples, width):
@@ -30,23 +55,25 @@ def brute_force_cost(samples, width):
 
 
 class TestBuildHistogram:
+    """The oracle's own known answers."""
+
     def test_basic_binning(self):
-        hist = build_histogram([0, 0, 2], 1.0, 3.0)
-        assert hist.counts.tolist() == [2, 0, 1]
-        assert hist.overflow == 0
+        counts, overflow = build_histogram([0, 0, 2], 1.0, 3.0)
+        assert counts.tolist() == [2, 0, 1]
+        assert overflow == 0
 
     def test_out_of_range_goes_to_overflow(self):
-        hist = build_histogram([5], 1.0, 3.0)
-        assert hist.counts.tolist() == [0, 0, 0]
-        assert hist.overflow == 1
+        counts, overflow = build_histogram([5], 1.0, 3.0)
+        assert counts.tolist() == [0, 0, 0]
+        assert overflow == 1
 
     def test_fractional_samples(self):
-        hist = build_histogram([0.5, 1.5, 2.5], 1.0, 3.0)
-        assert hist.counts.tolist() == [1, 1, 1]
+        counts, _ = build_histogram([0.5, 1.5, 2.5], 1.0, 3.0)
+        assert counts.tolist() == [1, 1, 1]
 
     def test_boundary_goes_right(self):
-        hist = build_histogram([1.0], 1.0, 3.0)
-        assert hist.counts.tolist() == [0, 1, 0]
+        counts, _ = build_histogram([1.0], 1.0, 3.0)
+        assert counts.tolist() == [0, 1, 0]
 
     def test_invalid_config(self):
         with pytest.raises(InvalidConfigError):
@@ -63,22 +90,17 @@ class TestBuildHistogram:
         t_max=st.floats(min_value=0.5, max_value=120),
     )
     def test_conservation(self, samples, width, t_max):
-        hist = build_histogram(samples, width, t_max)
-        assert hist.total + hist.overflow == len(samples)
-        assert np.all(hist.counts >= 0)
-
-
-def histogram_cost(hist):
-    """The cost of a dense histogram, every bin listed."""
-    return shimazaki_cost(hist.counts, hist.n_bins, hist.bin_width)
+        counts, overflow = build_histogram(samples, width, t_max)
+        assert counts.sum() + overflow == len(samples)
+        assert np.all(counts >= 0)
 
 
 class TestShimazakiCost:
     def test_constant_counts(self):
-        assert histogram_cost(Histogram(1.0, [2, 2, 2])) == pytest.approx(4.0)
+        assert shimazaki_cost([2, 2, 2], 3, 1.0) == pytest.approx(4.0)
 
     def test_high_variance_cancels(self):
-        assert histogram_cost(Histogram(2.0, [0, 4])) == pytest.approx(0.0)
+        assert shimazaki_cost([0, 4], 2, 2.0) == pytest.approx(0.0)
 
     @given(
         c=st.integers(min_value=0, max_value=50),
@@ -86,14 +108,14 @@ class TestShimazakiCost:
         width=st.floats(min_value=0.1, max_value=10),
     )
     def test_constant_histogram_closed_form(self, c, n, width):
-        cost = histogram_cost(Histogram(width, [c] * n))
+        cost = shimazaki_cost([c] * n, n, width)
         assert cost == pytest.approx(2 * c / width**2)
 
     @given(
         counts=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=50)
     )
     def test_matches_two_pass_computation(self, counts):
-        got = histogram_cost(Histogram(1.0, counts))
+        got = shimazaki_cost(counts, len(counts), 1.0)
         mean = sum(counts) / len(counts)
         var = sum((mean - c) ** 2 for c in counts) / len(counts)
         assert got == pytest.approx(2 * mean - var, rel=1e-12, abs=1e-12)
@@ -103,7 +125,7 @@ class TestShimazakiCost:
         width=st.floats(min_value=0.1, max_value=10),
     )
     def test_empty_bins_may_be_left_out(self, counts, width):
-        dense = histogram_cost(Histogram(width, counts))
+        dense = shimazaki_cost(counts, len(counts), width)
         nonempty = [c for c in counts if c > 0]
         got = shimazaki_cost(nonempty, len(counts), width)
         assert got == pytest.approx(dense, rel=1e-12, abs=1e-12)
@@ -222,16 +244,17 @@ class TestOptimalBinWidth:
 
 
 class TestNormalize:
+    """The oracle's own known answers."""
+
     def test_masses(self):
-        density = normalize(Histogram(1.0, [2, 0, 2]))
-        assert density.values.tolist() == [0.5, 0.0, 0.5]
+        assert normalize([2, 0, 2]).tolist() == [0.5, 0.0, 0.5]
 
     def test_single_bin(self):
-        assert normalize(Histogram(1.0, [5])).values.tolist() == [1.0]
+        assert normalize([5]).tolist() == [1.0]
 
     def test_all_zero_rejected(self):
         with pytest.raises(EmptyDensityError):
-            normalize(Histogram(1.0, [0, 0]))
+            normalize([0, 0])
 
     @given(
         counts=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=40)
@@ -239,11 +262,10 @@ class TestNormalize:
     def test_masses_sum_to_one(self, counts):
         if sum(counts) == 0:
             return
-        density = normalize(Histogram(0.5, counts))
-        assert density.values.sum() == pytest.approx(1.0, abs=1e-9)
+        assert normalize(counts).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_density_csv_layout():
-    density = normalize(Histogram(2.0, [1, 3]))
+    density = Density(2.0, normalize([1, 3]))
     text = bins_to_csv("bin_start,value", density.bin_width, density.values)
     assert text == "bin_start,value\n0.0,0.25\n2.0,0.75\n"

@@ -289,6 +289,23 @@ def test_vectorized_parse_peak_memory(monkeypatch, form):
         assert peak <= copy + 8 * times.size + 8 * batch
 
 
+def test_parse_stream_sorts_in_place(monkeypatch):
+    """parse_stream's peak: the times and O(batch) more, as the parse alone;
+    sorting a copy of the times would add 8 bytes a line."""
+    batch = 1 << 12
+    monkeypatch.setattr(ingest, "_PARSE_BATCH_BYTES", batch)
+    times = 1_325_376_000 + np.random.default_rng(5).permutation(50_000)
+    data = "".join(f"{t}\n" for t in times).encode()
+    tracemalloc.start()
+    try:
+        stream = parse_stream(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.times.tolist() == sorted(times.tolist())
+    assert peak <= 8 * times.size + 8 * batch
+
+
 class TestEventStream:
     def test_rate(self):
         stream = EventStream(np.asarray([0, 5, 10]))
@@ -323,6 +340,23 @@ class TestInterArrivals:
         assert stream.span == 17997 - low
         with pytest.raises(StreamAnalysisError, match=f"spans {17997 - low} seconds"):
             inter_arrivals(stream)
+
+    def test_decreasing_times_rejected(self):
+        stream = EventStream(np.asarray([0, 5, 4, 9]))
+        with pytest.raises(InvalidConfigError, match="must not decrease"):
+            inter_arrivals(stream)
+
+    def test_decreasing_extreme_times_rejected(self):
+        # np.diff wraps min - max to +1, so only the neighbours tell
+        info = np.iinfo(np.int64)
+        stream = EventStream(np.asarray([info.max, info.min]))
+        assert np.diff(stream.times).tolist() == [1]
+        with pytest.raises(InvalidConfigError, match="must not decrease"):
+            inter_arrivals(stream)
+
+    def test_negative_value_rejected(self):
+        with pytest.raises(InvalidConfigError, match="must not be negative"):
+            InterArrivals([3, -1, 2])
 
     def test_span_of_int64_max_still_differenced(self):
         stream = EventStream(np.asarray([0, np.iinfo(np.int64).max]))
